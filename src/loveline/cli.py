@@ -73,6 +73,11 @@ def _load(path: str, err: TextIO) -> Timeline | None:
     except OSError as exc:
         print(f"loveline: cannot read {path}: {exc.strerror}", file=err)
         return None
+    except UnicodeDecodeError as exc:
+        byte = exc.object[exc.start]
+        print(f"loveline: cannot read {path}: not UTF-8 (byte 0x{byte:02x} "
+              f"at offset {exc.start})", file=err)
+        return None
     result = parse_document(text)
     if result.diagnostics:
         for diag in result.diagnostics:
@@ -149,12 +154,10 @@ def _cmd_explain(path: str, index: int, out: TextIO, err: TextIO) -> int:
         return 1
     query = timeline.queries[index - 1]
     threshold = _threshold_of(query, timeline)
-    verdict = evaluate(
-        query.subject, query.object, query.interval, threshold, timeline
-    )
     trace = explain(
         query.subject, query.object, query.interval, threshold, timeline
     )
+    verdict = trace.verdict
     onset = (
         "(none)"
         if trace.acquaintance_onset is None

@@ -63,8 +63,9 @@ _RATIONAL_RE = re.compile(r"[+-]?(?:\d+/\d+|\d+\.\d*|\.\d+|\d+)\Z")
 def parse_rational(token: str) -> Fraction:
     """Parse an integer, fraction, or decimal token to an exact value.
 
-    Raises :class:`DslSyntaxError` on malformed tokens or a zero
-    denominator. Decimals convert exactly, never through binary floats.
+    Raises :class:`DslSyntaxError` on malformed tokens, a zero
+    denominator, or more digits than Python converts to an integer.
+    Decimals convert exactly, never through binary floats.
     """
     if not _RATIONAL_RE.match(token):
         raise DslSyntaxError(f"malformed rational '{token}'")
@@ -72,6 +73,11 @@ def parse_rational(token: str) -> Fraction:
         return Fraction(token)
     except ZeroDivisionError:
         raise DslSyntaxError(f"zero denominator in '{token}'") from None
+    except ValueError:
+        # Python's int/str conversion limit (sys.get_int_max_str_digits).
+        raise DslSyntaxError(
+            f"rational of {len(token)} characters has too many digits"
+        ) from None
 
 
 @dataclass(frozen=True)

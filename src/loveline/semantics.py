@@ -25,10 +25,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable
 
 from .diagnostics import GranularityError, ThresholdError
 from .intervals import Interval, IntervalSet, format_rational
-from .model import Config, Timeline, Valence
+from .model import Config, SensationEpisode, Timeline, Valence
 
 
 @dataclass(frozen=True)
@@ -53,7 +54,7 @@ class Trace:
     ``condition_i`` and the two ``condition_ii`` parts are unrestricted by
     the query window (the parts are already acquaintance-clipped and
     inhibition-masked), so intersecting ``condition_i`` with the union of
-    the parts and the window reproduces the verdict's love events.
+    the parts and the window reproduces ``verdict.love_events``.
     """
 
     condition_i: IntervalSet
@@ -62,10 +63,69 @@ class Trace:
     acquaintance_onset: Fraction | None
     inhibition_mask: IntervalSet
     first_failure: str | None
+    verdict: Verdict
 
 
 def _config_of(timeline: Timeline, config: Config | None) -> Config:
     return timeline.config if config is None else config
+
+
+class _PairIndex:
+    """A timeline's records grouped by the pair or agent they concern.
+
+    Built in one pass on first use and kept on the timeline (see
+    :func:`_index_of`), so every signal below reads only its own pair's
+    records. ``love`` caches each pair's love base, condition (i) ∩
+    condition (ii) over all time, keyed by ``(subject, object,
+    min_intensity)``: condition (i) depends on the intensity floor, which
+    callers may override per call; condition (ii) depends on no config.
+    """
+
+    __slots__ = ("sensations", "judgments", "inhibit_all", "inhibit_toward",
+                 "onset", "love")
+
+    def __init__(self, timeline: Timeline) -> None:
+        # Positive sensations by (bearer, correlate).
+        self.sensations: dict[tuple[str, str], list[SensationEpisode]] = {}
+        # Judgment extents by (agent, target).
+        self.judgments: dict[tuple[str, str], list[IntervalSet]] = {}
+        # Inhibition extents: untargeted by agent, targeted by (agent, toward).
+        self.inhibit_all: dict[str, list[IntervalSet]] = {}
+        self.inhibit_toward: dict[tuple[str, str], list[IntervalSet]] = {}
+        # Earliest acquaintance by (subject, object).
+        self.onset: dict[tuple[str, str], Fraction] = {}
+        self.love: dict[tuple[str, str, Fraction], IntervalSet] = {}
+        for ep in timeline.sensations:
+            if ep.valence is Valence.POSITIVE:
+                pair = (ep.bearer, ep.correlate)
+                self.sensations.setdefault(pair, []).append(ep)
+        for j in timeline.judgments:
+            self.judgments.setdefault((j.agent, j.target), []).append(j.extent)
+        for inh in timeline.inhibitions:
+            if inh.toward is None:
+                self.inhibit_all.setdefault(inh.agent, []).append(inh.extent)
+            else:
+                pair = (inh.agent, inh.toward)
+                self.inhibit_toward.setdefault(pair, []).append(inh.extent)
+        for rec in timeline.acquaintances:
+            pair = (rec.subject, rec.object)
+            if pair not in self.onset or rec.at < self.onset[pair]:
+                self.onset[pair] = rec.at
+
+
+def _index_of(timeline: Timeline) -> _PairIndex:
+    # Timeline is immutable, so an index built once stays valid; the field
+    # is excluded from equality, hashing and dataclasses.replace.
+    index = timeline._pair_index
+    if index is None:
+        index = _PairIndex(timeline)
+        object.__setattr__(timeline, "_pair_index", index)
+    return index
+
+
+def _merged(parts: Iterable[IntervalSet]) -> IntervalSet:
+    """Union of ``parts`` in a single merge."""
+    return IntervalSet(tuple(iv for part in parts for iv in part))
 
 
 def inhibition_mask(subject: str, object_: str, timeline: Timeline) -> IntervalSet:
@@ -74,15 +134,11 @@ def inhibition_mask(subject: str, object_: str, timeline: Timeline) -> IntervalS
     An episode applies when its agent is ``subject`` and it is either
     untargeted or aimed at ``object_``.
     """
-    parts = [
-        inh.extent
-        for inh in timeline.inhibitions
-        if inh.agent == subject and inh.toward in (None, object_)
-    ]
-    out = IntervalSet()
-    for part in parts:
-        out = out.union(part)
-    return out
+    index = _index_of(timeline)
+    return _merged((
+        *index.inhibit_all.get(subject, ()),
+        *index.inhibit_toward.get((subject, object_), ()),
+    ))
 
 
 def condition_i_signal(
@@ -97,16 +153,9 @@ def condition_i_signal(
     positive valence, and intensity at or above ``config.min_intensity``.
     The inhibition mask is subtracted.
     """
-    cfg = _config_of(timeline, config)
-    out = IntervalSet()
-    for ep in timeline.sensations:
-        if (
-            ep.bearer == subject
-            and ep.correlate == object_
-            and ep.valence is Valence.POSITIVE
-            and ep.intensity >= cfg.min_intensity
-        ):
-            out = out.union(ep.extent)
+    floor = _config_of(timeline, config).min_intensity
+    episodes = _index_of(timeline).sensations.get((subject, object_), ())
+    out = _merged(ep.extent for ep in episodes if ep.intensity >= floor)
     return out.difference(inhibition_mask(subject, object_, timeline))
 
 
@@ -114,12 +163,7 @@ def acquaintance_onset(
     subject: str, object_: str, timeline: Timeline
 ) -> Fraction | None:
     """Earliest instant at which ``subject`` met ``object_``, if ever."""
-    ats = [
-        rec.at
-        for rec in timeline.acquaintances
-        if rec.subject == subject and rec.object == object_
-    ]
-    return min(ats) if ats else None
+    return _index_of(timeline).onset.get((subject, object_))
 
 
 def condition_ii_components(
@@ -145,24 +189,13 @@ def condition_ii_components(
     if onset is None:
         return IntervalSet(), IntervalSet()
     mask = inhibition_mask(subject, object_, timeline)
-
-    derived = IntervalSet()
-    for ep in timeline.sensations:
-        if not (
-            ep.bearer == subject
-            and ep.correlate == object_
-            and ep.valence is Valence.POSITIVE
-        ):
-            continue
-        for j in timeline.judgments:
-            if j.agent == subject and j.target == ep.id:
-                derived = derived.union(j.extent.intersect(ep.extent))
-
-    direct = IntervalSet()
-    for j in timeline.judgments:
-        if j.agent == subject and j.target == object_:
-            direct = direct.union(j.extent)
-
+    index = _index_of(timeline)
+    derived = _merged(
+        extent.intersect(ep.extent)
+        for ep in index.sensations.get((subject, object_), ())
+        for extent in index.judgments.get((subject, ep.id), ())
+    )
+    direct = _merged(index.judgments.get((subject, object_), ()))
     derived = derived.clip_from(onset).difference(mask)
     direct = direct.clip_from(onset).difference(mask)
     return derived, direct
@@ -179,6 +212,22 @@ def condition_ii_signal(
     return derived.union(direct)
 
 
+def _love_base(
+    subject: str, object_: str, timeline: Timeline, config: Config | None
+) -> IntervalSet:
+    """Both conditions over all time; computed once per pair and floor."""
+    cfg = _config_of(timeline, config)
+    love = _index_of(timeline).love
+    key = (subject, object_, cfg.min_intensity)
+    base = love.get(key)
+    if base is None:
+        base = condition_i_signal(subject, object_, timeline, cfg).intersect(
+            condition_ii_signal(subject, object_, timeline, cfg)
+        )
+        love[key] = base
+    return base
+
+
 def love_event_set(
     subject: str,
     object_: str,
@@ -188,9 +237,7 @@ def love_event_set(
 ) -> IntervalSet:
     """Instants within ``interval`` where both conditions coincide."""
     window = IntervalSet((interval,))
-    return window.intersect(
-        condition_i_signal(subject, object_, timeline, config)
-    ).intersect(condition_ii_signal(subject, object_, timeline, config))
+    return window.intersect(_love_base(subject, object_, timeline, config))
 
 
 def _check_threshold(threshold: Fraction) -> None:
@@ -206,6 +253,20 @@ def _decide(s: Fraction, c: Fraction, threshold: Fraction) -> bool:
     if c == 0:
         return s > 0
     return threshold < s / c
+
+
+def _verdict(
+    events: IntervalSet, interval: Interval, threshold: Fraction
+) -> Verdict:
+    s = events.measure()
+    c = interval.measure - s
+    return Verdict(
+        holds=_decide(s, c, threshold),
+        s=s,
+        c=c,
+        threshold=Fraction(threshold),
+        love_events=events,
+    )
 
 
 def evaluate(
@@ -224,15 +285,7 @@ def evaluate(
     """
     _check_threshold(threshold)
     events = love_event_set(subject, object_, interval, timeline, config)
-    s = events.measure()
-    c = interval.measure - s
-    return Verdict(
-        holds=_decide(s, c, threshold),
-        s=s,
-        c=c,
-        threshold=Fraction(threshold),
-        love_events=events,
-    )
+    return _verdict(events, interval, threshold)
 
 
 def love_state_at(
@@ -273,21 +326,24 @@ def explain(
     ``first_failure`` is judged within the query window, earliest stage
     first: no acquaintance, then an empty condition (i), then an empty
     condition (ii), then a ratio at or below the threshold; ``None`` when
-    the predicate holds.
+    the predicate holds. The verdict is built from the same signals, so it
+    equals :func:`evaluate`'s.
     """
     _check_threshold(threshold)
     cond_i = condition_i_signal(subject, object_, timeline, config)
     derived, direct = condition_ii_components(subject, object_, timeline, config)
     onset = acquaintance_onset(subject, object_, timeline)
     mask = inhibition_mask(subject, object_, timeline)
-    verdict = evaluate(subject, object_, interval, threshold, timeline, config)
 
     window = IntervalSet((interval,))
+    cond_i_in = cond_i.intersect(window)
+    cond_ii_in = derived.union(direct).intersect(window)
+    verdict = _verdict(cond_i_in.intersect(cond_ii_in), interval, threshold)
     if onset is None:
         failure = _STAGE_NO_ACQUAINTANCE
-    elif cond_i.intersect(window).is_empty():
+    elif cond_i_in.is_empty():
         failure = _STAGE_COND_I_EMPTY
-    elif derived.union(direct).intersect(window).is_empty():
+    elif cond_ii_in.is_empty():
         failure = _STAGE_COND_II_EMPTY
     elif not verdict.holds:
         failure = _STAGE_RATIO
@@ -301,7 +357,13 @@ def explain(
         acquaintance_onset=onset,
         inhibition_mask=mask,
         first_failure=failure,
+        verdict=verdict,
     )
+
+
+# Most ticks :func:`tick_oracle` walks for one query: each tick scans every
+# record, so a finer grid would run for hours rather than fail.
+MAX_ORACLE_TICKS = 1_000_000
 
 
 def _timeline_endpoints(timeline: Timeline, interval: Interval) -> list[Fraction]:
@@ -342,8 +404,10 @@ def tick_oracle(
     Every endpoint in the timeline and the query interval must be an exact
     multiple of ``granularity`` (else :class:`GranularityError`), so each
     tick is uniformly inside or outside every extent and per-tick
-    quantification is exact. Must agree with :func:`evaluate` under that
-    precondition.
+    quantification is exact. More than :data:`MAX_ORACLE_TICKS` ticks in
+    the query interval also raise :class:`GranularityError`, before any
+    tick is visited. Must agree with :func:`evaluate` under those
+    preconditions.
     """
     _check_threshold(threshold)
     granularity = Fraction(granularity)
@@ -404,6 +468,12 @@ def tick_oracle(
 
     tick_count = (interval.end - interval.start) / granularity
     assert tick_count.denominator == 1
+    if tick_count > MAX_ORACLE_TICKS:
+        raise GranularityError(
+            f"granularity {format_rational(granularity)} gives "
+            f"{format_rational(tick_count)} ticks over {interval}, above "
+            f"the cap of {MAX_ORACLE_TICKS}"
+        )
 
     qualifying = 0
     runs: list[Interval] = []

@@ -115,6 +115,29 @@ class TestCheck:
         )
 
 
+    def test_non_utf8_file_is_a_read_error(self, capsys, tmp_path):
+        path = tmp_path / "latin1.love"
+        path.write_bytes(b"# loveline v1\nagent a\n\xff\xfe\n")
+        code, out, err = run_main("check", str(path), capsys=capsys)
+        assert (code, out) == (1, "")
+        assert err == (f"loveline: cannot read {path}: "
+                       "not UTF-8 (byte 0xff at offset 22)\n")
+
+    def test_overlong_numeric_literal_is_a_syntax_diagnostic(
+        self, capsys, tmp_path
+    ):
+        path = tmp_path / "long.love"
+        path.write_text(
+            "# loveline v1\nagent a\nagent b\n"
+            f"acquaintance a b at {'1' * 5000}\n",
+            encoding="utf-8",
+        )
+        code, out, err = run_main("check", str(path), capsys=capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"{path}:4:21: E_SYNTAX: rational of 5000 ")
+        assert len(err.splitlines()) == 1
+
+
 class TestExplain:
     def test_mixed_query_1(self, capsys):
         code, out, _ = run_main(
@@ -185,6 +208,15 @@ class TestOracle:
         )
         assert code == 1
         assert "E_GRANULARITY" in err
+
+    def test_granularity_over_the_tick_cap_fails_at_once(self, capsys):
+        code, out, err = run_main(
+            "oracle", fx("timeline_a.love"), "--granularity", "1/1000000000",
+            capsys=capsys,
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("loveline: E_GRANULARITY: ")
+        assert "above the cap" in err
 
 
 class TestUsageErrors:

@@ -53,6 +53,12 @@ class TestParseRational:
         with pytest.raises(DslSyntaxError):
             parse_rational("1/0")
 
+    @pytest.mark.parametrize("token", ["1" * 5000, "1/" + "3" * 5000,
+                                       "0." + "5" * 5000])
+    def test_too_many_digits(self, token):
+        with pytest.raises(DslSyntaxError, match="too many digits"):
+            parse_rational(token)
+
 
 class TestParseDocument:
     def test_canonical_fixture(self):
@@ -167,6 +173,13 @@ def single_code(text: str) -> tuple[str, int]:
 
 
 class TestDiagnostics:
+    def test_overlong_literal_reports_its_line(self):
+        text = f"agent a\nagent b\nacquaintance a b at {'1' * 5000}\n"
+        result = parse_document(text)
+        assert result.timeline is None
+        [diag] = result.diagnostics
+        assert (diag.code, diag.line, diag.column) == ("E_SYNTAX", 3, 21)
+
     def test_self_correlate_line(self):
         code, line = single_code(
             "agent sally\n"

@@ -31,8 +31,10 @@ from loveline import (
     tick_oracle,
 )
 from loveline.model import Config
+from loveline.parser import parse_document
+from loveline.semantics import MAX_ORACLE_TICKS
 
-from conftest import WINDOW, build_timeline_a
+from conftest import FIXTURE_DIR, WINDOW, build_timeline_a
 from helpers import random_query, random_timeline
 
 F = Fraction
@@ -294,6 +296,59 @@ class TestExplain:
         assert trace.inhibition_mask == IntervalSet()
 
 
+class TestPairCache:
+    STRICT = Config(min_intensity=F(19, 20))
+
+    def test_config_override_and_default_in_either_order(self):
+        fresh_default = evaluate("sally", "john", WINDOW, F(1, 2),
+                                 build_timeline_a())
+        fresh_strict = evaluate("sally", "john", WINDOW, F(1, 2),
+                                build_timeline_a(), self.STRICT)
+        assert fresh_default.s == 4 and fresh_strict.s == 0
+        for configs in ((None, self.STRICT), (self.STRICT, None)):
+            tl = build_timeline_a()
+            for config in configs * 2:
+                v = evaluate("sally", "john", WINDOW, F(1, 2), tl, config)
+                t = explain("sally", "john", WINDOW, F(1, 2), tl, config)
+                expected = fresh_default if config is None else fresh_strict
+                assert v == expected
+                assert t.verdict == expected
+
+    def test_evaluated_timeline_still_equals_its_twin(self):
+        used, twin = build_timeline_a(), build_timeline_a()
+        evaluate("sally", "john", WINDOW, F(1), used)
+        assert used == twin
+        assert hash(used) == hash(twin)
+        assert repr(used) == repr(twin)
+
+    def test_replace_starts_with_an_empty_cache(self, timeline_a):
+        assert evaluate("sally", "john", WINDOW, F(1), timeline_a).s == 4
+        moved = dataclasses.replace(timeline_a, acquaintances=(
+            AcquaintanceRecord("sally", "john", F(5)),))
+        assert moved._pair_index is None
+        assert evaluate("sally", "john", WINDOW, F(1), moved).s == 2
+        assert acquaintance_onset("sally", "john", moved) == 5
+        gone = dataclasses.replace(timeline_a, acquaintances=())
+        assert evaluate("sally", "john", WINDOW, F(1), gone).s == 0
+
+    def test_explain_stage_agrees_with_evaluate_on_every_fixture_query(self):
+        seen = 0
+        for path in sorted(FIXTURE_DIR.glob("*.love")):
+            tl = parse_document(path.read_text(encoding="utf-8")).timeline
+            if tl is None:
+                continue
+            for q in tl.queries:
+                threshold = (tl.config.threshold_default
+                             if q.threshold is None else q.threshold)
+                trace = explain(q.subject, q.object, q.interval, threshold, tl)
+                verdict = evaluate(q.subject, q.object, q.interval,
+                                   threshold, tl)
+                assert (trace.first_failure is None) == verdict.holds
+                assert trace.verdict == verdict
+                seen += 1
+        assert seen >= 7
+
+
 class TestTickOracle:
     def test_matches_evaluate_on_canonical(self, timeline_a):
         fast = evaluate("sally", "john", WINDOW, F(1), timeline_a)
@@ -331,6 +386,17 @@ class TestTickOracle:
     def test_threshold_checked_like_evaluate(self, timeline_a):
         with pytest.raises(ThresholdError):
             tick_oracle("sally", "john", WINDOW, F(0), timeline_a, F(1))
+
+    def test_tick_count_over_the_cap_is_rejected_before_the_loop(
+        self, timeline_a
+    ):
+        # Ten ticks per unit beyond the cap, and 10**13 ticks: both must
+        # fail at once, without visiting a single tick.
+        just_over = F(1, MAX_ORACLE_TICKS // 10 + 1)
+        for granularity in (just_over, F(1, 10**12)):
+            with pytest.raises(GranularityError, match="above the cap"):
+                tick_oracle("sally", "john", WINDOW, F(1), timeline_a,
+                            granularity)
 
 
 def shift_timeline(timeline: Timeline, delta: Fraction) -> Timeline:
