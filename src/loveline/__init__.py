@@ -19,10 +19,8 @@ from .intervals import (
     Instant,
     Interval,
     IntervalSet,
-    complement_within,
     format_interval_set,
     format_rational,
-    normalize,
 )
 from .model import (
     AcquaintanceRecord,
@@ -60,7 +58,6 @@ from .semantics import (
     acquaintance_onset,
     condition_i_signal,
     condition_ii_components,
-    condition_ii_signal,
     evaluate,
     explain,
     inhibition_mask,
@@ -98,10 +95,8 @@ __all__ = [
     "Verdict",
     "acquaintance_onset",
     "check_subclass",
-    "complement_within",
     "condition_i_signal",
     "condition_ii_components",
-    "condition_ii_signal",
     "evaluate",
     "explain",
     "export_graph",
@@ -110,7 +105,6 @@ __all__ = [
     "inhibition_mask",
     "love_event_set",
     "love_state_at",
-    "normalize",
     "parse_document",
     "parse_rational",
     "project_timeline",

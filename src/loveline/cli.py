@@ -6,9 +6,9 @@ text or JSON), ``explain`` (signal trace for one query), ``export-bfo``
 evaluator against the brute-force tick oracle).
 
 Exit codes: 0 success; 1 verdict-level failure (diagnostics present,
-unreadable file, oracle mismatch); 2 usage error. Query results go to
-stdout, diagnostics and errors to stderr. Output is byte-deterministic
-for identical inputs.
+unreadable file, a result too long to print, oracle mismatch); 2 usage
+error. Query results go to stdout, diagnostics and errors to stderr.
+Output is byte-deterministic for identical inputs.
 """
 
 from __future__ import annotations
@@ -17,14 +17,34 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from typing import Sequence, TextIO
+from typing import Callable, Sequence, TextIO, TypeVar
 
 from .diagnostics import LovelineError
 from .intervals import format_interval_set, format_rational
 from .model import QuerySpec, Timeline
 from .parser import DslSyntaxError, parse_document, parse_rational
 from .ontology import export_graph, project_timeline
-from .semantics import Verdict, evaluate, explain, tick_oracle
+from .semantics import Trace, Verdict, evaluate, explain, tick_oracle
+
+_T = TypeVar("_T")
+
+
+class _Unprintable(Exception):
+    """A query whose exact result has too many digits to print."""
+
+
+def _guarded(n: int, step: Callable[[], _T]) -> _T:
+    """Run query ``n``'s ``step``, raising :class:`_Unprintable` when it
+    hits Python's int/str conversion limit (sys.get_int_max_str_digits):
+    an exact ``s``, ``c`` or oracle tick count can have more digits than
+    any literal in the input."""
+    try:
+        return step()
+    except ValueError:
+        raise _Unprintable(
+            f"query {n}: a result has more than "
+            f"{sys.get_int_max_str_digits()} digits, too many to print"
+        ) from None
 
 
 def _granularity(text: str) -> Fraction:
@@ -105,35 +125,38 @@ def _cmd_check(path: str, out: TextIO, err: TextIO) -> int:
     return 0 if _load(path, err) is not None else 1
 
 
+def _query_record(
+    query: QuerySpec, threshold: Fraction, verdict: Verdict
+) -> dict:
+    return {
+        "subject": query.subject,
+        "object": query.object,
+        "interval": str(query.interval),
+        "threshold": format_rational(threshold),
+        "holds": verdict.holds,
+        "s": format_rational(verdict.s),
+        "c": format_rational(verdict.c),
+        "love_events": [str(iv) for iv in verdict.love_events],
+    }
+
+
 def _cmd_eval(path: str, fmt: str, out: TextIO, err: TextIO) -> int:
     timeline = _load(path, err)
     if timeline is None:
         return 1
+    render = _query_line if fmt == "text" else _query_record
     results = []
-    for query in timeline.queries:
+    for n, query in enumerate(timeline.queries, start=1):
         threshold = _threshold_of(query, timeline)
         verdict = evaluate(
             query.subject, query.object, query.interval, threshold, timeline
         )
-        results.append((query, threshold, verdict))
+        results.append(_guarded(n, lambda: render(query, threshold, verdict)))
+    # Rendered in full before any is written, so a failure prints nothing.
     if fmt == "text":
-        for query, threshold, verdict in results:
-            print(_query_line(query, threshold, verdict), file=out)
+        out.write("".join(line + "\n" for line in results))
     else:
-        payload = [
-            {
-                "subject": query.subject,
-                "object": query.object,
-                "interval": str(query.interval),
-                "threshold": format_rational(threshold),
-                "holds": verdict.holds,
-                "s": format_rational(verdict.s),
-                "c": format_rational(verdict.c),
-                "love_events": [str(iv) for iv in verdict.love_events],
-            }
-            for query, threshold, verdict in results
-        ]
-        print(json.dumps(payload, indent=2), file=out)
+        print(json.dumps(results, indent=2), file=out)
     return 0
 
 
@@ -157,26 +180,27 @@ def _cmd_explain(path: str, index: int, out: TextIO, err: TextIO) -> int:
     trace = explain(
         query.subject, query.object, query.interval, threshold, timeline
     )
-    verdict = trace.verdict
+    out.write(_guarded(index, lambda: _trace_text(query, threshold, trace)))
+    return 0
+
+
+def _trace_text(query: QuerySpec, threshold: Fraction, trace: Trace) -> str:
     onset = (
         "(none)"
         if trace.acquaintance_onset is None
         else format_rational(trace.acquaintance_onset)
     )
-    print(_query_line(query, threshold, verdict), file=out)
-    print(f"condition (i):          {_format_set(trace.condition_i)}", file=out)
-    print(f"condition (ii) derived: {_format_set(trace.condition_ii_derived)}",
-          file=out)
-    print(f"condition (ii) direct:  {_format_set(trace.condition_ii_direct)}",
-          file=out)
-    print(f"acquaintance onset:     {onset}", file=out)
-    print(f"inhibition mask:        {_format_set(trace.inhibition_mask)}",
-          file=out)
-    print(f"love events:            {_format_set(verdict.love_events)}",
-          file=out)
-    print(f"first failure:          {trace.first_failure or '(none)'}",
-          file=out)
-    return 0
+    lines = (
+        _query_line(query, threshold, trace.verdict),
+        f"condition (i):          {_format_set(trace.condition_i)}",
+        f"condition (ii) derived: {_format_set(trace.condition_ii_derived)}",
+        f"condition (ii) direct:  {_format_set(trace.condition_ii_direct)}",
+        f"acquaintance onset:     {onset}",
+        f"inhibition mask:        {_format_set(trace.inhibition_mask)}",
+        f"love events:            {_format_set(trace.verdict.love_events)}",
+        f"first failure:          {trace.first_failure or '(none)'}",
+    )
+    return "".join(line + "\n" for line in lines)
 
 
 def _cmd_export(path: str, out: TextIO, err: TextIO) -> int:
@@ -194,20 +218,16 @@ def _cmd_oracle(
     if timeline is None:
         return 1
     status = 0
-    for query in timeline.queries:
+    for n, query in enumerate(timeline.queries, start=1):
         threshold = _threshold_of(query, timeline)
         fast = evaluate(
             query.subject, query.object, query.interval, threshold, timeline
         )
         try:
-            slow = tick_oracle(
-                query.subject,
-                query.object,
-                query.interval,
-                threshold,
-                timeline,
-                granularity,
-            )
+            slow = _guarded(n, lambda: tick_oracle(
+                query.subject, query.object, query.interval, threshold,
+                timeline, granularity,
+            ))
         except LovelineError as exc:
             print(f"loveline: {exc.code}: {exc}", file=err)
             return 1
@@ -225,16 +245,20 @@ def _cmd_oracle(
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     out, err = sys.stdout, sys.stderr
-    if args.command == "check":
-        return _cmd_check(args.file, out, err)
-    if args.command == "eval":
-        return _cmd_eval(args.file, args.format, out, err)
-    if args.command == "explain":
-        return _cmd_explain(args.file, args.query, out, err)
-    if args.command == "export-bfo":
-        return _cmd_export(args.file, out, err)
-    if args.command == "oracle":
-        return _cmd_oracle(args.file, args.granularity, out, err)
+    try:
+        if args.command == "check":
+            return _cmd_check(args.file, out, err)
+        if args.command == "eval":
+            return _cmd_eval(args.file, args.format, out, err)
+        if args.command == "explain":
+            return _cmd_explain(args.file, args.query, out, err)
+        if args.command == "export-bfo":
+            return _cmd_export(args.file, out, err)
+        if args.command == "oracle":
+            return _cmd_oracle(args.file, args.granularity, out, err)
+    except _Unprintable as exc:
+        print(f"loveline: {exc}", file=err)
+        return 1
     raise AssertionError(f"unhandled command {args.command!r}")
 
 

@@ -70,10 +70,6 @@ class IntervalSet:
     def __post_init__(self) -> None:
         object.__setattr__(self, "intervals", _merge(self.intervals))
 
-    @classmethod
-    def from_pairs(cls, pairs: Iterable[tuple[Rational, Rational]]) -> "IntervalSet":
-        return cls(tuple(Interval(Fraction(a), Fraction(b)) for a, b in pairs))
-
     def is_empty(self) -> bool:
         return not self.intervals
 
@@ -139,15 +135,6 @@ class IntervalSet:
             out.append(iv if iv.start >= t else Interval(Fraction(t), iv.end))
         return IntervalSet(tuple(out))
 
-    def __or__(self, other: "IntervalSet") -> "IntervalSet":
-        return self.union(other)
-
-    def __and__(self, other: "IntervalSet") -> "IntervalSet":
-        return self.intersect(other)
-
-    def __sub__(self, other: "IntervalSet") -> "IntervalSet":
-        return self.difference(other)
-
 
 def _merge(intervals: Iterable[Interval]) -> tuple[Interval, ...]:
     ordered = sorted(intervals, key=lambda iv: (iv.start, iv.end))
@@ -160,16 +147,6 @@ def _merge(intervals: Iterable[Interval]) -> tuple[Interval, ...]:
         else:
             out.append(iv)
     return tuple(out)
-
-
-def normalize(raw: Iterable[Interval]) -> IntervalSet:
-    """Normalize a raw interval sequence into a disjoint ascending set."""
-    return IntervalSet(tuple(raw))
-
-
-def complement_within(window: Interval, cover: IntervalSet) -> IntervalSet:
-    """Points of ``window`` that are not covered by ``cover``."""
-    return IntervalSet((window,)).difference(cover)
 
 
 def format_interval_set(s: IntervalSet) -> str:

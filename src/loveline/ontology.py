@@ -26,7 +26,6 @@ from .diagnostics import (
     E_RANGE,
     E_UNKNOWN_REF,
 )
-from .intervals import IntervalSet
 from .model import Timeline
 
 
@@ -102,7 +101,6 @@ class RelationAssertion:
     kind: RelationKind
     subject: str
     object: str
-    extent: IntervalSet | None = None
 
     def render(self) -> str:
         return f"{self.subject} {self.kind.value} {self.object}"
@@ -265,6 +263,11 @@ def project_timeline(timeline: Timeline) -> OntologyGraph:
     is correlated with. Agents with inhibition episodes get one
     inhibitory-control Disposition each. The timeline must be valid; the
     emitted graph then validates cleanly.
+
+    Minted ids are ``act:<judgment>``, ``disp:<judgment>``,
+    ``ice:<judgment>`` and ``inhib:<agent>``. Timeline ids match
+    ``[a-z][a-z0-9_]*`` and so never contain ``:``, which keeps minted ids
+    apart from every id the timeline declares.
     """
     individuals: list[Individual] = []
     relations: list[RelationAssertion] = []
@@ -292,9 +295,9 @@ def project_timeline(timeline: Timeline) -> OntologyGraph:
         )
 
     for j in timeline.judgments:
-        act_id = f"act_{j.id}"
-        disp_id = f"disp_{j.id}"
-        ice_id = f"ice_{j.id}"
+        act_id = f"act:{j.id}"
+        disp_id = f"disp:{j.id}"
+        ice_id = f"ice:{j.id}"
         individuals.append(
             Individual(act_id, BfoClass.PROCESS, f"act of judgment by {j.agent}")
         )
@@ -333,7 +336,7 @@ def project_timeline(timeline: Timeline) -> OntologyGraph:
         if inh.agent not in inhibitors:
             inhibitors.append(inh.agent)
     for agent in inhibitors:
-        disp_id = f"inhib_{agent}"
+        disp_id = f"inhib:{agent}"
         individuals.append(
             Individual(
                 disp_id, BfoClass.DISPOSITION, f"inhibitory control of {agent}"

@@ -57,6 +57,18 @@ class DslSyntaxError(LovelineError):
     code = E_SYNTAX
 
 
+# Tokens longer than this are quoted by a prefix and their length, so one
+# over-long token cannot make a diagnostic thousands of characters long.
+_QUOTE_LIMIT = 40
+
+
+def _quoted(token: str) -> str:
+    """``token`` in single quotes, shortened when over :data:`_QUOTE_LIMIT`."""
+    if len(token) <= _QUOTE_LIMIT:
+        return f"'{token}'"
+    return f"'{token[:_QUOTE_LIMIT - 10]}...' ({len(token)} characters)"
+
+
 _RATIONAL_RE = re.compile(r"[+-]?(?:\d+/\d+|\d+\.\d*|\.\d+|\d+)\Z")
 
 
@@ -68,11 +80,11 @@ def parse_rational(token: str) -> Fraction:
     Decimals convert exactly, never through binary floats.
     """
     if not _RATIONAL_RE.match(token):
-        raise DslSyntaxError(f"malformed rational '{token}'")
+        raise DslSyntaxError(f"malformed rational {_quoted(token)}")
     try:
         return Fraction(token)
     except ZeroDivisionError:
-        raise DslSyntaxError(f"zero denominator in '{token}'") from None
+        raise DslSyntaxError(f"zero denominator in {_quoted(token)}") from None
     except ValueError:
         # Python's int/str conversion limit (sys.get_int_max_str_digits).
         raise DslSyntaxError(
@@ -183,7 +195,7 @@ class _Cursor:
         token = self._next(expected)
         if token.kind != "ident" or (literal is not None and token.text != literal):
             raise _StatementError(
-                f"expected {expected}, found '{token.text}'", token.column
+                f"expected {expected}, found {_quoted(token.text)}", token.column
             )
         return token
 
@@ -191,7 +203,7 @@ class _Cursor:
         token = self._next("a rational")
         if token.kind != "number":
             raise _StatementError(
-                f"expected a rational, found '{token.text}'", token.column
+                f"expected a rational, found {_quoted(token.text)}", token.column
             )
         return token
 
@@ -199,7 +211,7 @@ class _Cursor:
         token = self._next(f"'{char}'")
         if token.kind != "punct" or token.text != char:
             raise _StatementError(
-                f"expected '{char}', found '{token.text}'", token.column
+                f"expected '{char}', found {_quoted(token.text)}", token.column
             )
         return token
 
@@ -249,7 +261,7 @@ def _valence_value(cur: _Cursor) -> Valence:
     if token.text == "negative":
         return Valence.NEGATIVE
     raise _StatementError(
-        f"expected 'positive' or 'negative', found '{token.text}'", token.column
+        f"expected 'positive' or 'negative', found {_quoted(token.text)}", token.column
     )
 
 
@@ -263,9 +275,9 @@ def _fields(
     while not cur.at_end():
         key = cur.ident()
         if key.text not in spec:
-            raise _StatementError(f"unknown field '{key.text}'", key.column)
+            raise _StatementError(f"unknown field {_quoted(key.text)}", key.column)
         if key.text in seen:
-            raise _StatementError(f"duplicate field '{key.text}'", key.column)
+            raise _StatementError(f"duplicate field {_quoted(key.text)}", key.column)
         cur.punct("=")
         seen[key.text] = spec[key.text](cur)
     for name in required:
@@ -345,7 +357,8 @@ def _parse_set(cur: _Cursor, head: _Token) -> SetDirective:
     key = cur.ident()
     if key.text not in ("threshold", "min_intensity"):
         raise _StatementError(
-            f"expected 'threshold' or 'min_intensity', found '{key.text}'",
+            "expected 'threshold' or 'min_intensity', "
+            f"found {_quoted(key.text)}",
             key.column,
         )
     return SetDirective(key.text, _rational(cur))
@@ -386,14 +399,14 @@ def _parse_line(line: str) -> Statement | None:
         return None
     head = tokens[0]
     if head.kind != "ident" or head.text not in _PARSERS:
-        raise _StatementError(f"unknown directive '{head.text}'", head.column)
+        raise _StatementError(f"unknown directive {_quoted(head.text)}", head.column)
     cur = _Cursor(tokens)
     cur.ident(head.text)
     statement = _PARSERS[head.text](cur, head)
     if not cur.at_end():
         stray = cur.peek()
         raise _StatementError(
-            f"unexpected trailing '{stray.text}'", stray.column
+            f"unexpected trailing {_quoted(stray.text)}", stray.column
         )
     return statement
 
@@ -437,7 +450,7 @@ def _build_timeline(
                 diags.append(
                     Diagnostic(
                         E_DUP_ID,
-                        f"duplicate id '{record_id}' (already declared as "
+                        f"duplicate id {_quoted(record_id)} (already declared as "
                         f"{declared[record_id]})",
                         line=line,
                         column=column,

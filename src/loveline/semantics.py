@@ -29,7 +29,7 @@ from typing import Iterable
 
 from .diagnostics import GranularityError, ThresholdError
 from .intervals import Interval, IntervalSet, format_rational
-from .model import Config, SensationEpisode, Timeline, Valence
+from .model import SensationEpisode, Timeline, Valence
 
 
 @dataclass(frozen=True)
@@ -66,19 +66,13 @@ class Trace:
     verdict: Verdict
 
 
-def _config_of(timeline: Timeline, config: Config | None) -> Config:
-    return timeline.config if config is None else config
-
-
 class _PairIndex:
     """A timeline's records grouped by the pair or agent they concern.
 
     Built in one pass on first use and kept on the timeline (see
     :func:`_index_of`), so every signal below reads only its own pair's
     records. ``love`` caches each pair's love base, condition (i) ∩
-    condition (ii) over all time, keyed by ``(subject, object,
-    min_intensity)``: condition (i) depends on the intensity floor, which
-    callers may override per call; condition (ii) depends on no config.
+    condition (ii) over all time, keyed by ``(subject, object)``.
     """
 
     __slots__ = ("sensations", "judgments", "inhibit_all", "inhibit_toward",
@@ -94,7 +88,7 @@ class _PairIndex:
         self.inhibit_toward: dict[tuple[str, str], list[IntervalSet]] = {}
         # Earliest acquaintance by (subject, object).
         self.onset: dict[tuple[str, str], Fraction] = {}
-        self.love: dict[tuple[str, str, Fraction], IntervalSet] = {}
+        self.love: dict[tuple[str, str], IntervalSet] = {}
         for ep in timeline.sensations:
             if ep.valence is Valence.POSITIVE:
                 pair = (ep.bearer, ep.correlate)
@@ -142,18 +136,15 @@ def inhibition_mask(subject: str, object_: str, timeline: Timeline) -> IntervalS
 
 
 def condition_i_signal(
-    subject: str,
-    object_: str,
-    timeline: Timeline,
-    config: Config | None = None,
+    subject: str, object_: str, timeline: Timeline
 ) -> IntervalSet:
     """Instants where condition (i) holds: qualifying positive sensation.
 
     Qualifying episodes have bearer ``subject``, correlate ``object_``,
-    positive valence, and intensity at or above ``config.min_intensity``.
-    The inhibition mask is subtracted.
+    positive valence, and intensity at or above the timeline's
+    ``config.min_intensity``. The inhibition mask is subtracted.
     """
-    floor = _config_of(timeline, config).min_intensity
+    floor = timeline.config.min_intensity
     episodes = _index_of(timeline).sensations.get((subject, object_), ())
     out = _merged(ep.extent for ep in episodes if ep.intensity >= floor)
     return out.difference(inhibition_mask(subject, object_, timeline))
@@ -167,10 +158,7 @@ def acquaintance_onset(
 
 
 def condition_ii_components(
-    subject: str,
-    object_: str,
-    timeline: Timeline,
-    config: Config | None = None,
+    subject: str, object_: str, timeline: Timeline
 ) -> tuple[IntervalSet, IntervalSet]:
     """The two parts of condition (ii): (derived, direct).
 
@@ -201,43 +189,25 @@ def condition_ii_components(
     return derived, direct
 
 
-def condition_ii_signal(
-    subject: str,
-    object_: str,
-    timeline: Timeline,
-    config: Config | None = None,
-) -> IntervalSet:
-    """Instants where condition (ii) holds: acquaintance-gated judgment."""
-    derived, direct = condition_ii_components(subject, object_, timeline, config)
-    return derived.union(direct)
-
-
-def _love_base(
-    subject: str, object_: str, timeline: Timeline, config: Config | None
-) -> IntervalSet:
-    """Both conditions over all time; computed once per pair and floor."""
-    cfg = _config_of(timeline, config)
-    love = _index_of(timeline).love
-    key = (subject, object_, cfg.min_intensity)
-    base = love.get(key)
+def _love_base(subject: str, object_: str, timeline: Timeline) -> IntervalSet:
+    """Both conditions over all time; computed once per pair."""
+    love, pair = _index_of(timeline).love, (subject, object_)
+    base = love.get(pair)
     if base is None:
-        base = condition_i_signal(subject, object_, timeline, cfg).intersect(
-            condition_ii_signal(subject, object_, timeline, cfg)
+        derived, direct = condition_ii_components(subject, object_, timeline)
+        base = condition_i_signal(subject, object_, timeline).intersect(
+            derived.union(direct)
         )
-        love[key] = base
+        love[pair] = base
     return base
 
 
 def love_event_set(
-    subject: str,
-    object_: str,
-    interval: Interval,
-    timeline: Timeline,
-    config: Config | None = None,
+    subject: str, object_: str, interval: Interval, timeline: Timeline
 ) -> IntervalSet:
     """Instants within ``interval`` where both conditions coincide."""
     window = IntervalSet((interval,))
-    return window.intersect(_love_base(subject, object_, timeline, config))
+    return window.intersect(_love_base(subject, object_, timeline))
 
 
 def _check_threshold(threshold: Fraction) -> None:
@@ -275,7 +245,6 @@ def evaluate(
     interval: Interval,
     threshold: Fraction,
     timeline: Timeline,
-    config: Config | None = None,
 ) -> Verdict:
     """Decide ``loves(subject, object_)`` over ``interval`` at ``threshold``.
 
@@ -284,7 +253,7 @@ def evaluate(
     construction already rejects them.
     """
     _check_threshold(threshold)
-    events = love_event_set(subject, object_, interval, timeline, config)
+    events = love_event_set(subject, object_, interval, timeline)
     return _verdict(events, interval, threshold)
 
 
@@ -295,7 +264,6 @@ def love_state_at(
     interval: Interval,
     threshold: Fraction,
     timeline: Timeline,
-    config: Config | None = None,
 ) -> tuple[bool, bool]:
     """Momentary states at instant ``t``, derivative of the interval verdict.
 
@@ -303,7 +271,7 @@ def love_state_at(
     is exactly the interval verdict; the event state is membership of ``t``
     in the love-event set. ``t`` is expected to lie within ``interval``.
     """
-    verdict = evaluate(subject, object_, interval, threshold, timeline, config)
+    verdict = evaluate(subject, object_, interval, threshold, timeline)
     return (Fraction(t) in verdict.love_events, verdict.holds)
 
 
@@ -319,7 +287,6 @@ def explain(
     interval: Interval,
     threshold: Fraction,
     timeline: Timeline,
-    config: Config | None = None,
 ) -> Trace:
     """Expose the signals behind a verdict and name the first failing stage.
 
@@ -330,8 +297,8 @@ def explain(
     equals :func:`evaluate`'s.
     """
     _check_threshold(threshold)
-    cond_i = condition_i_signal(subject, object_, timeline, config)
-    derived, direct = condition_ii_components(subject, object_, timeline, config)
+    cond_i = condition_i_signal(subject, object_, timeline)
+    derived, direct = condition_ii_components(subject, object_, timeline)
     onset = acquaintance_onset(subject, object_, timeline)
     mask = inhibition_mask(subject, object_, timeline)
 
@@ -397,7 +364,6 @@ def tick_oracle(
     threshold: Fraction,
     timeline: Timeline,
     granularity: Fraction,
-    config: Config | None = None,
 ) -> Verdict:
     """Brute-force re-evaluation on a grid of ``granularity``-wide ticks.
 
@@ -421,7 +387,7 @@ def tick_oracle(
                 f"granularity {format_rational(granularity)} does not divide "
                 f"endpoint {format_rational(point)}"
             )
-    cfg = _config_of(timeline, config)
+    floor = timeline.config.min_intensity
 
     onset: Fraction | None = None
     for rec in timeline.acquaintances:
@@ -442,7 +408,7 @@ def tick_oracle(
             ep.bearer == subject
             and ep.correlate == object_
             and ep.valence is Valence.POSITIVE
-            and ep.intensity >= cfg.min_intensity
+            and ep.intensity >= floor
             and _tick_in(t, ep.extent)
             for ep in timeline.sensations
         )

@@ -84,9 +84,27 @@ def random_extent(rng: random.Random, max_parts: int = 3) -> IntervalSet:
     return IntervalSet(tuple(parts))
 
 
-def random_timeline(rng: random.Random) -> Timeline:
-    """Valid timeline: ≤8 agents, ≤30 episodes, integer endpoints in [0,100]."""
+# Prefixes an ontology projection might mint ids with, were it to share the
+# timeline's namespace (act_<judgment>, ..., inhib_<agent>).
+PROJECTION_PREFIXES = ("act_", "disp_", "ice_", "inhib_")
+
+
+def random_timeline(
+    rng: random.Random, prefixed_agents: bool = False
+) -> Timeline:
+    """Valid timeline: ≤8 agents, ≤30 episodes, integer endpoints in [0,100].
+
+    With ``prefixed_agents``, up to four more agents are named like
+    ``act_jd3`` or ``inhib_ag1``: a projection prefix on the id of a
+    judgment or an agent this generator may create.
+    """
     agents = tuple(f"ag{i}" for i in range(rng.randint(2, 8)))
+    if prefixed_agents:
+        agents += tuple(dict.fromkeys(
+            f"{rng.choice(PROJECTION_PREFIXES)}{rng.choice(('jd', 'ag'))}"
+            f"{rng.randint(0, 7)}"
+            for _ in range(rng.randint(1, 4))
+        ))
 
     acquaintances = []
     for subject in agents:

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from loveline import export_graph, parse_document, project_timeline
 from loveline.cli import main
@@ -182,7 +185,7 @@ class TestExportBfo:
         graph = project_timeline(parse_document(source).timeline)
         assert out == export_graph(graph)
         assert 'individual sally Agent "sally"' in out
-        assert "ice_j1 is_about john" in out
+        assert "ice:j1 is_about john" in out
 
 
 class TestOracle:
@@ -217,6 +220,96 @@ class TestOracle:
         assert (code, out) == (1, "")
         assert err.startswith("loveline: E_GRANULARITY: ")
         assert "above the cap" in err
+
+
+def too_long_result(tmp_path) -> str:
+    """Query 2's ``s`` has a 6,001-digit denominator; query 1 prints fine."""
+    a, b = 10**3000 + 1, 10**3000 + 3
+    path = tmp_path / "digits.love"
+    path.write_text(
+        "agent a\nagent b\nacquaintance a b at 0\n"
+        "sensation s1 bearer=a correlate=b valence=positive "
+        f"extent=[0,1/{a})+[2,{2 * b + 1}/{b})\n"
+        "judgment j1 agent=a target=b extent=[0,10)\n"
+        "query loves a b interval=[5,6)\n"
+        "query loves a b interval=[0,10)\n",
+        encoding="utf-8",
+    )
+    return str(path)
+
+
+class TestDigitLimit:
+    MESSAGE = (f"loveline: query 2: a result has more than "
+               f"{sys.get_int_max_str_digits()} digits, too many to print\n")
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_eval_names_the_query_and_prints_nothing(
+        self, fmt, capsys, tmp_path
+    ):
+        path = too_long_result(tmp_path)
+        code, out, err = run_main("eval", path, "--format", fmt, capsys=capsys)
+        assert (code, out, err) == (1, "", self.MESSAGE)
+
+    def test_explain_names_the_query_and_prints_nothing(self, capsys, tmp_path):
+        path = too_long_result(tmp_path)
+        code, out, err = run_main("explain", path, "--query", "2", capsys=capsys)
+        assert (code, out, err) == (1, "", self.MESSAGE)
+        code, out, err = run_main("explain", path, "--query", "1", capsys=capsys)
+        assert (code, err) == (0, "")
+        assert out.startswith("loves(a,b) over [5,6) T=1: FAILS s=0 c=1\n")
+
+    def test_oracle_tick_count_over_the_limit(self, capsys, tmp_path):
+        # 10**8000 ticks: over the cap, and too long for the cap's message.
+        path = tmp_path / "wide.love"
+        path.write_text(f"agent a\nagent b\nquery loves a b "
+                        f"interval=[0,{10**4000})\n", encoding="utf-8")
+        code, out, err = run_main("oracle", str(path), "--granularity",
+                                  f"1/{10**4000}", capsys=capsys)
+        assert (code, out) == (1, "")
+        assert err == self.MESSAGE.replace("query 2", "query 1")
+
+
+# Lines of a small valid document, for the fuzzer to shuffle and break.
+DOCUMENT_LINES = (
+    "# loveline v1",
+    "agent a",
+    "agent b",
+    "acquaintance a b at 1/2",
+    "sensation s bearer=a correlate=b valence=positive intensity=.5 "
+    "extent=[0,5)+[6,9)",
+    "judgment j agent=a target=s extent=[1,4)",
+    "judgment k agent=a target=b extent=[7,8)",
+    "inhibition i agent=a toward=b extent=[2,3)",
+    "set threshold 1/3",
+    "set min_intensity 1",
+    "query loves a b interval=[0,10)",
+    "query loves b a interval=[3,4) threshold=2",
+)
+
+
+def _joined(lines: list[str]) -> bytes:
+    return "\n".join(lines).encode("utf-8", "surrogatepass")
+
+
+file_bytes = st.one_of(
+    st.binary(max_size=300),
+    st.lists(st.sampled_from(DOCUMENT_LINES), unique=True).map(_joined),
+    st.lists(
+        st.one_of(st.sampled_from(DOCUMENT_LINES), st.text(max_size=30)),
+        max_size=14,
+    ).map(_joined),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=file_bytes)
+def test_any_file_bytes_end_in_an_exit_code(data, tmp_path_factory):
+    path = tmp_path_factory.getbasetemp() / "fuzz.love"
+    path.write_bytes(data)
+    for argv in (["eval", str(path)], ["explain", str(path), "--query", "1"]):
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            assert main(argv) in (0, 1, 2)
 
 
 class TestUsageErrors:

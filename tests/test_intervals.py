@@ -11,10 +11,8 @@ from loveline import (
     EmptyIntervalError,
     Interval,
     IntervalSet,
-    complement_within,
     format_interval_set,
     format_rational,
-    normalize,
 )
 
 from helpers import member, sample_points
@@ -42,6 +40,10 @@ def windows(draw) -> Interval:
 
 def iset(*pairs: tuple) -> IntervalSet:
     return IntervalSet(tuple(Interval(F(a), F(b)) for a, b in pairs))
+
+
+def complement(window: Interval, cover: IntervalSet) -> IntervalSet:
+    return IntervalSet((window,)).difference(cover)
 
 
 def assert_normalized(s: IntervalSet) -> None:
@@ -81,13 +83,13 @@ class TestInterval:
 
 class TestNormalize:
     def test_overlap_merge(self):
-        assert normalize([Interval(0, 2), Interval(1, 3)]) == iset((0, 3))
+        assert IntervalSet((Interval(0, 2), Interval(1, 3))) == iset((0, 3))
 
     def test_adjacency_merge(self):
-        assert normalize([Interval(0, 1), Interval(1, 2)]) == iset((0, 2))
+        assert IntervalSet((Interval(0, 1), Interval(1, 2))) == iset((0, 2))
 
     def test_empty(self):
-        assert normalize([]) == IntervalSet()
+        assert IntervalSet(()) == IntervalSet()
 
     def test_idempotent_on_construction(self):
         s = IntervalSet((Interval(4, 6), Interval(0, 2), Interval(2, 3)))
@@ -148,21 +150,21 @@ class TestDifference:
 
 
 class TestComplementWithin:
+    """A window minus a cover, the way evaluation measures ``c``."""
+
     def test_middle(self):
-        assert complement_within(Interval(0, 10), iset((3, 7))) == iset(
-            (0, 3), (7, 10)
-        )
+        assert complement(Interval(0, 10), iset((3, 7))) == iset((0, 3), (7, 10))
 
     def test_empty_cover(self):
-        assert complement_within(Interval(0, 10), IntervalSet()) == iset((0, 10))
+        assert complement(Interval(0, 10), IntervalSet()) == iset((0, 10))
 
     def test_full_cover(self):
-        assert complement_within(Interval(0, 10), iset((0, 10))) == IntervalSet()
+        assert complement(Interval(0, 10), iset((0, 10))) == IntervalSet()
 
     @given(windows(), interval_sets())
     def test_partition(self, window: Interval, a: IntervalSet):
         inside = a.intersect(IntervalSet((window,)))
-        outside = complement_within(window, a)
+        outside = complement(window, a)
         assert inside.measure() + outside.measure() == window.measure
         assert inside.union(outside) == IntervalSet((window,))
         assert inside.intersect(outside) == IntervalSet()
@@ -211,12 +213,6 @@ class TestAlgebraicLaws:
         for t in sample_points(a, clipped):
             assert member(t, clipped) == (member(t, a) and t >= cut)
 
-    def test_operator_sugar(self):
-        a, b = iset((0, 4)), iset((2, 6))
-        assert a | b == a.union(b)
-        assert a & b == a.intersect(b)
-        assert a - b == a.difference(b)
-
 
 class TestUnitTickAgreement:
     def test_integer_ticks(self):
@@ -228,7 +224,7 @@ class TestUnitTickAgreement:
             t = F(tick)
             assert member(t, a.union(b)) == (member(t, a) or member(t, b))
             assert member(t, a.intersect(b)) == (member(t, a) and member(t, b))
-            assert member(t, complement_within(Interval(0, 10), a)) == (
+            assert member(t, complement(Interval(0, 10), a)) == (
                 0 <= tick < 10 and not member(t, a)
             )
 

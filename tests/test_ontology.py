@@ -14,6 +14,7 @@ from loveline import (
     Timeline,
     check_subclass,
     export_graph,
+    parse_document,
     project_timeline,
     validate,
 )
@@ -244,11 +245,11 @@ class TestProjectTimeline:
         rendered = {rel.render() for rel in g.relations}
         assert "s1 inheres_in sally" in rendered
         assert "s1 causally_correlated_with john" in rendered
-        assert "ice_j1 is_about john" in rendered
-        assert "ice_j1 is_about s1" in rendered
-        assert "disp_j1 inheres_in sally" in rendered
-        assert "disp_j1 realized_in act_j1" in rendered
-        assert "sally participates_in act_j1" in rendered
+        assert "ice:j1 is_about john" in rendered
+        assert "ice:j1 is_about s1" in rendered
+        assert "disp:j1 inheres_in sally" in rendered
+        assert "disp:j1 realized_in act:j1" in rendered
+        assert "sally participates_in act:j1" in rendered
 
     def test_canonical_classes(self, timeline_a):
         g = project_timeline(timeline_a)
@@ -257,9 +258,9 @@ class TestProjectTimeline:
             "sally": BfoClass.AGENT,
             "john": BfoClass.AGENT,
             "s1": BfoClass.QUALITY,
-            "act_j1": BfoClass.PROCESS,
-            "disp_j1": BfoClass.DISPOSITION,
-            "ice_j1": BfoClass.INFORMATION_CONTENT_ENTITY,
+            "act:j1": BfoClass.PROCESS,
+            "disp:j1": BfoClass.DISPOSITION,
+            "ice:j1": BfoClass.INFORMATION_CONTENT_ENTITY,
         }
 
     def test_direct_judgment_ice_is_about_the_person_once(self, timeline_a):
@@ -273,7 +274,7 @@ class TestProjectTimeline:
         )
         g = project_timeline(tl)
         about = [r for r in g.relations if r.kind is RelationKind.IS_ABOUT]
-        assert [(r.subject, r.object) for r in about] == [("ice_j1", "john")]
+        assert [(r.subject, r.object) for r in about] == [("ice:j1", "john")]
 
     def test_inhibition_disposition_only_for_inhibitors(self, timeline_a):
         import dataclasses
@@ -281,7 +282,7 @@ class TestProjectTimeline:
         from loveline import InhibitionEpisode, Interval, IntervalSet
 
         g = project_timeline(timeline_a)
-        assert not any(ind.id.startswith("inhib_") for ind in g.individuals)
+        assert not any(ind.id.startswith("inhib:") for ind in g.individuals)
         tl = dataclasses.replace(
             timeline_a,
             inhibitions=(
@@ -296,10 +297,10 @@ class TestProjectTimeline:
             ),
         )
         g = project_timeline(tl)
-        dispositions = [ind for ind in g.individuals if ind.id == "inhib_sally"]
+        dispositions = [ind for ind in g.individuals if ind.id == "inhib:sally"]
         assert len(dispositions) == 1
         assert dispositions[0].cls is BfoClass.DISPOSITION
-        assert "inhib_sally inheres_in sally" in {
+        assert "inhib:sally inheres_in sally" in {
             rel.render() for rel in g.relations
         }
 
@@ -308,6 +309,22 @@ class TestProjectTimeline:
         for tl in (timeline_a, timeline_b, timeline_c):
             g = project_timeline(tl)
             assert validate(g.individuals, g.relations) == []
+
+    def test_agents_named_like_minted_ids_do_not_collide(self):
+        # Each extra agent is spelled as an underscore prefix scheme would
+        # mint the projection of judgment j1 or of inhibitor sally.
+        source = (
+            "agent sally\nagent john\nagent act_j1\nagent disp_j1\n"
+            "agent ice_j1\nagent inhib_sally\n"
+            "acquaintance sally john at 0\n"
+            "judgment j1 agent=sally target=john extent=[0,5)\n"
+            "inhibition i1 agent=sally extent=[1,2)\n"
+        )
+        timeline = parse_document(source).timeline
+        assert timeline is not None
+        g = project_timeline(timeline)
+        assert validate(g.individuals, g.relations) == []
+        assert len({ind.id for ind in g.individuals}) == len(g.individuals) == 10
 
     def test_projection_validates_on_random_timelines(self):
         rng = random.Random(99)
@@ -319,19 +336,19 @@ class TestProjectTimeline:
 class TestExportGraph:
     def test_canonical_export_is_pinned(self, timeline_a):
         assert export_graph(project_timeline(timeline_a)) == (
-            'individual act_j1 Process "act of judgment by sally"\n'
-            'individual disp_j1 Disposition "judgment disposition of sally"\n'
-            'individual ice_j1 InformationContentEntity "content of judgment j1"\n'
+            'individual act:j1 Process "act of judgment by sally"\n'
+            'individual disp:j1 Disposition "judgment disposition of sally"\n'
+            'individual ice:j1 InformationContentEntity "content of judgment j1"\n'
             'individual john Agent "john"\n'
             'individual s1 Quality "positive sensation of sally correlated with john"\n'
             'individual sally Agent "sally"\n'
-            "disp_j1 inheres_in sally\n"
-            "disp_j1 realized_in act_j1\n"
-            "ice_j1 is_about john\n"
-            "ice_j1 is_about s1\n"
+            "disp:j1 inheres_in sally\n"
+            "disp:j1 realized_in act:j1\n"
+            "ice:j1 is_about john\n"
+            "ice:j1 is_about s1\n"
             "s1 causally_correlated_with john\n"
             "s1 inheres_in sally\n"
-            "sally participates_in act_j1\n"
+            "sally participates_in act:j1\n"
         )
 
     def test_empty_graph_exports_empty(self):

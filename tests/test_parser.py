@@ -180,6 +180,35 @@ class TestDiagnostics:
         [diag] = result.diagnostics
         assert (diag.code, diag.line, diag.column) == ("E_SYNTAX", 3, 21)
 
+    def test_long_tokens_are_quoted_briefly(self):
+        long_id, zeros = "x" * 3000, "0" * 3000
+        sources = {
+            "expected ')', found": "agent a\nagent b\nsensation s bearer=a "
+            f"correlate=b valence=positive extent=[1,1+1/1{zeros})\n",
+            "unknown directive": f"{long_id} 1\n",
+            "unexpected trailing": f"agent a {long_id}\n",
+            "unknown field": "agent a\nagent b\njudgment j agent=a target=b "
+            f"extent=[0,1) {long_id}=1\n",
+            "zero denominator": f"set threshold 1/{zeros}\n",
+            "duplicate id": f"agent {long_id}\nagent {long_id}\n",
+        }
+        for start, source in sources.items():
+            [diag] = parse_document(source).diagnostics
+            assert diag.message.startswith(start)
+            assert len(diag.message) < 120
+            assert "characters)" in diag.message
+        with pytest.raises(DslSyntaxError) as exc:
+            parse_rational(long_id)
+        assert str(exc.value) == (
+            f"malformed rational '{'x' * 30}...' (3000 characters)"
+        )
+
+    def test_short_tokens_are_quoted_whole(self):
+        [diag] = parse_document(f"{'w' * 40} 1\n").diagnostics
+        assert diag.message == f"unknown directive '{'w' * 40}'"
+        with pytest.raises(DslSyntaxError, match=r"^zero denominator in '1/0'$"):
+            parse_rational("1/0")
+
     def test_self_correlate_line(self):
         code, line = single_code(
             "agent sally\n"

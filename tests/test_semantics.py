@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
+import types
 from fractions import Fraction
 
 import pytest
@@ -22,7 +23,6 @@ from loveline import (
     acquaintance_onset,
     condition_i_signal,
     condition_ii_components,
-    condition_ii_signal,
     evaluate,
     explain,
     inhibition_mask,
@@ -30,6 +30,7 @@ from loveline import (
     love_state_at,
     tick_oracle,
 )
+from loveline import semantics
 from loveline.model import Config
 from loveline.parser import parse_document
 from loveline.semantics import MAX_ORACLE_TICKS
@@ -39,9 +40,18 @@ from helpers import random_query, random_timeline
 
 F = Fraction
 
+# A floor above timeline A's only sensation (intensity 9/10).
+STRICT = Config(min_intensity=F(19, 20))
+
 
 def iset(*pairs: tuple) -> IntervalSet:
     return IntervalSet(tuple(Interval(F(a), F(b)) for a, b in pairs))
+
+
+def condition_ii_signal(subject: str, object_: str, tl: Timeline) -> IntervalSet:
+    """Condition (ii) as a whole: the union of its two components."""
+    derived, direct = condition_ii_components(subject, object_, tl)
+    return derived.union(direct)
 
 
 def with_inhibition(timeline: Timeline, episode: InhibitionEpisode) -> Timeline:
@@ -61,8 +71,8 @@ class TestConditionI:
         assert condition_i_signal("sally", "john", timeline_a) == iset((2, 8))
 
     def test_intensity_floor_excludes(self, timeline_a):
-        cfg = Config(min_intensity=F(19, 20))
-        assert condition_i_signal("sally", "john", timeline_a, cfg) == IntervalSet()
+        strict = dataclasses.replace(timeline_a, config=STRICT)
+        assert condition_i_signal("sally", "john", strict) == IntervalSet()
 
     def test_overlapping_episodes_merge(self):
         tl = Timeline(
@@ -149,8 +159,8 @@ class TestConditionII:
     ):
         # The intensity floor filters condition (i) only; a judged sensation
         # supports condition (ii) regardless of its strength.
-        cfg = Config(min_intensity=F(19, 20))
-        assert condition_ii_signal("sally", "john", timeline_a, cfg) == iset((3, 7))
+        strict = dataclasses.replace(timeline_a, config=STRICT)
+        assert condition_ii_signal("sally", "john", strict) == iset((3, 7))
 
 
 class TestInhibitionMask:
@@ -297,20 +307,23 @@ class TestExplain:
 
 
 class TestPairCache:
-    STRICT = Config(min_intensity=F(19, 20))
+    def test_strict_copy_and_default_in_either_order(self):
+        def strict_copy(tl: Timeline) -> Timeline:
+            return dataclasses.replace(tl, config=STRICT)
 
-    def test_config_override_and_default_in_either_order(self):
         fresh_default = evaluate("sally", "john", WINDOW, F(1, 2),
                                  build_timeline_a())
         fresh_strict = evaluate("sally", "john", WINDOW, F(1, 2),
-                                build_timeline_a(), self.STRICT)
+                                strict_copy(build_timeline_a()))
         assert fresh_default.s == 4 and fresh_strict.s == 0
-        for configs in ((None, self.STRICT), (self.STRICT, None)):
-            tl = build_timeline_a()
-            for config in configs * 2:
-                v = evaluate("sally", "john", WINDOW, F(1, 2), tl, config)
-                t = explain("sally", "john", WINDOW, F(1, 2), tl, config)
-                expected = fresh_default if config is None else fresh_strict
+        for strict_first in (False, True):
+            default = build_timeline_a()
+            strict = strict_copy(default)
+            order = (strict, default) if strict_first else (default, strict)
+            for tl in order * 2:
+                v = evaluate("sally", "john", WINDOW, F(1, 2), tl)
+                t = explain("sally", "john", WINDOW, F(1, 2), tl)
+                expected = fresh_strict if tl is strict else fresh_default
                 assert v == expected
                 assert t.verdict == expected
 
@@ -397,6 +410,33 @@ class TestTickOracle:
             with pytest.raises(GranularityError, match="above the cap"):
                 tick_oracle("sally", "john", WINDOW, F(1), timeline_a,
                             granularity)
+
+
+# Names on evaluate's route: the pair index, the cached love base, the
+# signal functions and the interval-set algebra they are built from.
+PRODUCTION_NAMES = frozenset({
+    "_index_of", "_PairIndex", "_pair_index", "_merged", "_love_base",
+    "evaluate", "love_event_set", "condition_i_signal",
+    "condition_ii_components", "inhibition_mask", "acquaintance_onset",
+    "union", "intersect", "difference", "clip_from",
+})
+
+
+def test_tick_oracle_names_nothing_on_the_production_route():
+    # The oracle is an independent cross-check only while it computes the
+    # verdict without any of evaluate's code.
+    pending = [semantics.tick_oracle.__code__, semantics._tick_in.__code__,
+               semantics._timeline_endpoints.__code__]
+    named: set[str] = set()
+    while pending:
+        code = pending.pop()
+        named.update(code.co_names)
+        pending.extend(c for c in code.co_consts if isinstance(c, types.CodeType))
+    assert {"cond_i_at", "cond_ii_at", "masked"} <= {
+        c.co_name for c in semantics.tick_oracle.__code__.co_consts
+        if isinstance(c, types.CodeType)
+    }
+    assert not named & PRODUCTION_NAMES
 
 
 def shift_timeline(timeline: Timeline, delta: Fraction) -> Timeline:
