@@ -19,6 +19,17 @@ E_DOMAIN = "E_DOMAIN"
 E_RANGE = "E_RANGE"
 E_ABOUTNESS = "E_ABOUTNESS"
 
+# Tokens and ids longer than this are quoted by a prefix and their length,
+# so one over-long name cannot make a diagnostic thousands of characters long.
+_QUOTE_LIMIT = 40
+
+
+def _quoted(token: str) -> str:
+    """``token`` in single quotes, shortened when over :data:`_QUOTE_LIMIT`."""
+    if len(token) <= _QUOTE_LIMIT:
+        return f"'{token}'"
+    return f"'{token[:_QUOTE_LIMIT - 10]}...' ({len(token)} characters)"
+
 
 @dataclass(frozen=True)
 class Diagnostic:

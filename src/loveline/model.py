@@ -23,6 +23,7 @@ from .diagnostics import (
     E_SELF_CORRELATE,
     E_THRESHOLD_NONPOSITIVE,
     E_UNKNOWN_REF,
+    _quoted,
 )
 from .intervals import Interval, IntervalSet, format_rational
 
@@ -134,7 +135,7 @@ def validate_timeline(timeline: Timeline) -> list[Diagnostic]:
             diags.append(
                 Diagnostic(
                     E_DUP_ID,
-                    f"duplicate id '{record_id}' (already declared as "
+                    f"duplicate id {_quoted(record_id)} (already declared as "
                     f"{declared[record_id]})",
                     record=record_id,
                 )
@@ -159,7 +160,7 @@ def validate_timeline(timeline: Timeline) -> list[Diagnostic]:
             diags.append(
                 Diagnostic(
                     E_UNKNOWN_REF,
-                    f"{role} '{name}' is not a declared agent",
+                    f"{role} {_quoted(name)} is not a declared agent",
                     record=record,
                 )
             )
@@ -172,7 +173,7 @@ def validate_timeline(timeline: Timeline) -> list[Diagnostic]:
             diags.append(
                 Diagnostic(
                     E_SELF_CORRELATE,
-                    f"acquaintance of '{rec.subject}' with itself",
+                    f"acquaintance of {_quoted(rec.subject)} with itself",
                     record=handle,
                 )
             )
@@ -184,7 +185,7 @@ def validate_timeline(timeline: Timeline) -> list[Diagnostic]:
             diags.append(
                 Diagnostic(
                     E_SELF_CORRELATE,
-                    f"sensation '{ep.id}' has bearer equal to correlate",
+                    f"sensation {_quoted(ep.id)} has bearer equal to correlate",
                     record=ep.id,
                 )
             )
@@ -192,7 +193,7 @@ def validate_timeline(timeline: Timeline) -> list[Diagnostic]:
             diags.append(
                 Diagnostic(
                     E_INTENSITY_RANGE,
-                    f"sensation '{ep.id}' intensity "
+                    f"sensation {_quoted(ep.id)} intensity "
                     f"{format_rational(ep.intensity)} outside [0, 1]",
                     record=ep.id,
                 )
@@ -201,7 +202,7 @@ def validate_timeline(timeline: Timeline) -> list[Diagnostic]:
             diags.append(
                 Diagnostic(
                     E_EMPTY_INTERVAL,
-                    f"sensation '{ep.id}' has an empty extent",
+                    f"sensation {_quoted(ep.id)} has an empty extent",
                     record=ep.id,
                 )
             )
@@ -212,8 +213,8 @@ def validate_timeline(timeline: Timeline) -> list[Diagnostic]:
             diags.append(
                 Diagnostic(
                     E_UNKNOWN_REF,
-                    f"judgment '{j.id}' target '{j.target}' is neither an "
-                    f"agent nor a sensation episode",
+                    f"judgment {_quoted(j.id)} target {_quoted(j.target)} is "
+                    f"neither an agent nor a sensation episode",
                     record=j.id,
                 )
             )
@@ -221,7 +222,7 @@ def validate_timeline(timeline: Timeline) -> list[Diagnostic]:
             diags.append(
                 Diagnostic(
                     E_EMPTY_INTERVAL,
-                    f"judgment '{j.id}' has an empty extent",
+                    f"judgment {_quoted(j.id)} has an empty extent",
                     record=j.id,
                 )
             )
@@ -234,7 +235,7 @@ def validate_timeline(timeline: Timeline) -> list[Diagnostic]:
             diags.append(
                 Diagnostic(
                     E_EMPTY_INTERVAL,
-                    f"inhibition '{inh.id}' has an empty extent",
+                    f"inhibition {_quoted(inh.id)} has an empty extent",
                     record=inh.id,
                 )
             )

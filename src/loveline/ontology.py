@@ -25,6 +25,7 @@ from .diagnostics import (
     E_DUP_ID,
     E_RANGE,
     E_UNKNOWN_REF,
+    _quoted,
 )
 from .model import Timeline
 
@@ -186,7 +187,7 @@ def validate(
             diags.append(
                 Diagnostic(
                     E_DUP_ID,
-                    f"duplicate individual id '{ind.id}'",
+                    f"duplicate individual id {_quoted(ind.id)}",
                     record=ind.id,
                 )
             )
@@ -202,7 +203,7 @@ def validate(
                 diags.append(
                     Diagnostic(
                         E_UNKNOWN_REF,
-                        f"{role} '{ref}' of {rel.kind.value} is not a "
+                        f"{role} {_quoted(ref)} of {rel.kind.value} is not a "
                         f"declared individual",
                         record=handle,
                     )
@@ -219,7 +220,7 @@ def validate(
             diags.append(
                 Diagnostic(
                     E_DOMAIN,
-                    f"{rel.kind.value} subject '{rel.subject}' is "
+                    f"{rel.kind.value} subject {_quoted(rel.subject)} is "
                     f"{subject_cls.value}, expected {dom_text}",
                     record=handle,
                 )
@@ -228,7 +229,7 @@ def validate(
             diags.append(
                 Diagnostic(
                     E_RANGE,
-                    f"{rel.kind.value} object '{rel.object}' is "
+                    f"{rel.kind.value} object {_quoted(rel.object)} is "
                     f"{object_cls.value}, expected {rng_text}",
                     record=handle,
                 )
@@ -242,7 +243,7 @@ def validate(
             diags.append(
                 Diagnostic(
                     E_ABOUTNESS,
-                    f"information content entity '{ind.id}' has no "
+                    f"information content entity {_quoted(ind.id)} has no "
                     f"is_about assertion",
                     record=ind.id,
                 )

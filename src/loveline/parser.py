@@ -13,7 +13,14 @@ whitespace between tokens is free. The statements:
     query loves ID ID interval=IVL [threshold=RAT]
 
 with ``IVL := "[" RAT "," RAT ")"`` and ``SET := IVL { "+" IVL }``.
-Rationals are integers, fractions like ``3/4``, or exact decimals.
+Rationals are integers, fractions like ``3/4``, or exact decimals. The
+header ``# loveline v1`` is optional; a first non-blank line naming any
+other version is an error.
+
+:data:`_GRAMMAR` is the single source of the statement shapes: for each
+head word it gives the record class, the positional part and the
+``key=value`` fields in canonical order with their defaults. Reading a
+statement, building the timeline and writing canonical text all walk it.
 
 Parsing is two-pass: statements are collected first, then identifier
 references are resolved, so declarations need not precede uses. All
@@ -27,7 +34,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, NamedTuple, Sequence, Union
+from typing import Callable, Iterable, NamedTuple, Sequence, Union
 
 from .diagnostics import (
     Diagnostic,
@@ -36,6 +43,7 @@ from .diagnostics import (
     E_SYNTAX,
     EmptyIntervalError,
     LovelineError,
+    _quoted,
 )
 from .intervals import Interval, IntervalSet, format_interval_set, format_rational
 from .model import (
@@ -52,24 +60,15 @@ from .model import (
 
 HEADER = "# loveline v1"
 
+_HEADER_RE = re.compile(r"[ \t]*#[ \t]*loveline[ \t]+v(\d+)[ \t]*\Z")
+
 
 class DslSyntaxError(LovelineError):
     code = E_SYNTAX
 
 
-# Tokens longer than this are quoted by a prefix and their length, so one
-# over-long token cannot make a diagnostic thousands of characters long.
-_QUOTE_LIMIT = 40
-
-
-def _quoted(token: str) -> str:
-    """``token`` in single quotes, shortened when over :data:`_QUOTE_LIMIT`."""
-    if len(token) <= _QUOTE_LIMIT:
-        return f"'{token}'"
-    return f"'{token[:_QUOTE_LIMIT - 10]}...' ({len(token)} characters)"
-
-
-_RATIONAL_RE = re.compile(r"[+-]?(?:\d+/\d+|\d+\.\d*|\.\d+|\d+)\Z")
+_NUMBER = r"[+-]?(?:\d+/\d+|\d+\.\d*|\.\d+|\d+)"
+_RATIONAL_RE = re.compile(_NUMBER + r"\Z")
 
 
 def parse_rational(token: str) -> Fraction:
@@ -139,7 +138,7 @@ class _Token(NamedTuple):
 
 _TOKEN_RE = re.compile(
     r"(?P<ws>[ \t]+)"
-    r"|(?P<number>[+-]?(?:\d+/\d+|\d+\.\d*|\.\d+|\d+))"
+    rf"|(?P<number>{_NUMBER})"
     r"|(?P<ident>[a-z][a-z0-9_]*)"
     r"|(?P<punct>[=\[,)+])"
 )
@@ -250,181 +249,164 @@ def _extent(cur: _Cursor) -> IntervalSet:
     return IntervalSet(tuple(intervals))
 
 
-def _ident_value(cur: _Cursor) -> str:
-    return cur.ident().text
-
-
-def _valence_value(cur: _Cursor) -> Valence:
+def _one_of(cur: _Cursor, options: Iterable[str]) -> str:
     token = cur.ident()
-    if token.text == "positive":
-        return Valence.POSITIVE
-    if token.text == "negative":
-        return Valence.NEGATIVE
-    raise _StatementError(
-        f"expected 'positive' or 'negative', found {_quoted(token.text)}", token.column
-    )
-
-
-def _fields(
-    cur: _Cursor,
-    head: _Token,
-    spec: dict[str, Callable[[_Cursor], object]],
-    required: Sequence[str],
-) -> dict[str, object]:
-    seen: dict[str, object] = {}
-    while not cur.at_end():
-        key = cur.ident()
-        if key.text not in spec:
-            raise _StatementError(f"unknown field {_quoted(key.text)}", key.column)
-        if key.text in seen:
-            raise _StatementError(f"duplicate field {_quoted(key.text)}", key.column)
-        cur.punct("=")
-        seen[key.text] = spec[key.text](cur)
-    for name in required:
-        if name not in seen:
-            raise _StatementError(f"missing field '{name}'", head.column)
-    return seen
-
-
-def _parse_agent(cur: _Cursor, head: _Token) -> AgentDecl:
-    return AgentDecl(cur.ident().text)
-
-
-def _parse_acquaintance(cur: _Cursor, head: _Token) -> AcquaintanceRecord:
-    subject = cur.ident().text
-    object_ = cur.ident().text
-    cur.ident("at")
-    return AcquaintanceRecord(subject, object_, _rational(cur))
-
-
-def _parse_sensation(cur: _Cursor, head: _Token) -> SensationEpisode:
-    ep_id = cur.ident().text
-    fields = _fields(
-        cur,
-        head,
-        {
-            "bearer": _ident_value,
-            "correlate": _ident_value,
-            "valence": _valence_value,
-            "intensity": _rational,
-            "extent": _extent,
-        },
-        required=("bearer", "correlate", "valence", "extent"),
-    )
-    return SensationEpisode(
-        id=ep_id,
-        bearer=fields["bearer"],
-        correlate=fields["correlate"],
-        valence=fields["valence"],
-        extent=fields["extent"],
-        intensity=fields.get("intensity", Fraction(1)),
-    )
-
-
-def _parse_judgment(cur: _Cursor, head: _Token) -> ValueJudgment:
-    j_id = cur.ident().text
-    fields = _fields(
-        cur,
-        head,
-        {"agent": _ident_value, "target": _ident_value, "extent": _extent},
-        required=("agent", "target", "extent"),
-    )
-    return ValueJudgment(
-        id=j_id,
-        agent=fields["agent"],
-        target=fields["target"],
-        extent=fields["extent"],
-    )
-
-
-def _parse_inhibition(cur: _Cursor, head: _Token) -> InhibitionEpisode:
-    i_id = cur.ident().text
-    fields = _fields(
-        cur,
-        head,
-        {"agent": _ident_value, "toward": _ident_value, "extent": _extent},
-        required=("agent", "extent"),
-    )
-    return InhibitionEpisode(
-        id=i_id,
-        agent=fields["agent"],
-        toward=fields.get("toward"),
-        extent=fields["extent"],
-    )
-
-
-def _parse_set(cur: _Cursor, head: _Token) -> SetDirective:
-    key = cur.ident()
-    if key.text not in ("threshold", "min_intensity"):
+    if token.text not in options:
+        expected = " or ".join(f"'{option}'" for option in options)
         raise _StatementError(
-            "expected 'threshold' or 'min_intensity', "
-            f"found {_quoted(key.text)}",
-            key.column,
+            f"expected {expected}, found {_quoted(token.text)}", token.column
         )
-    return SetDirective(key.text, _rational(cur))
+    return token.text
 
 
-def _parse_query(cur: _Cursor, head: _Token) -> QuerySpec:
-    cur.ident("loves")
-    subject = cur.ident().text
-    object_ = cur.ident().text
-    fields = _fields(
-        cur,
-        head,
-        {"interval": _interval, "threshold": _rational},
-        required=("interval",),
-    )
-    return QuerySpec(
-        subject=subject,
-        object=object_,
-        interval=fields["interval"],
-        threshold=fields.get("threshold"),
-    )
+class _Kind(NamedTuple):
+    """How a value is read from a statement and written back."""
+
+    read: Callable[[_Cursor], object]
+    write: Callable[[object], str]
 
 
-_PARSERS: dict[str, Callable[[_Cursor, _Token], Statement]] = {
-    "agent": _parse_agent,
-    "acquaintance": _parse_acquaintance,
-    "sensation": _parse_sensation,
-    "judgment": _parse_judgment,
-    "inhibition": _parse_inhibition,
-    "set": _parse_set,
-    "query": _parse_query,
+# ``set`` keys and the Config fields they set.
+_CONFIG_FIELDS = {"threshold": "threshold_default", "min_intensity": "min_intensity"}
+_VALENCES = tuple(valence.value for valence in Valence)
+
+_IDENT = _Kind(lambda cur: cur.ident().text, str)
+_RATIONAL = _Kind(_rational, format_rational)
+_INTERVAL = _Kind(_interval, str)
+_EXTENT = _Kind(_extent, format_interval_set)
+_VALENCE = _Kind(
+    lambda cur: Valence(_one_of(cur, _VALENCES)), lambda valence: valence.value
+)
+_SET_KEY = _Kind(lambda cur: _one_of(cur, _CONFIG_FIELDS), str)
+
+_REQUIRED = object()
+
+
+class _Field(NamedTuple):
+    name: str
+    kind: _Kind
+    default: object = _REQUIRED
+
+
+class _Shape(NamedTuple):
+    record: type
+    positional: tuple[str | _Field, ...]  # a bare string is a literal keyword
+    fields: dict[str, _Field]  # key=value fields, in canonical order
+
+
+def _shape(record: type, positional: tuple, *fields: _Field) -> _Shape:
+    return _Shape(record, positional, {field.name: field for field in fields})
+
+
+_ID = _Field("id", _IDENT)
+
+_GRAMMAR: dict[str, _Shape] = {
+    "agent": _shape(AgentDecl, (_Field("name", _IDENT),)),
+    "acquaintance": _shape(
+        AcquaintanceRecord,
+        (_Field("subject", _IDENT), _Field("object", _IDENT),
+         "at", _Field("at", _RATIONAL)),
+    ),
+    "sensation": _shape(
+        SensationEpisode,
+        (_ID,),
+        _Field("bearer", _IDENT),
+        _Field("correlate", _IDENT),
+        _Field("valence", _VALENCE),
+        _Field("intensity", _RATIONAL, Fraction(1)),
+        _Field("extent", _EXTENT),
+    ),
+    "judgment": _shape(
+        ValueJudgment,
+        (_ID,),
+        _Field("agent", _IDENT),
+        _Field("target", _IDENT),
+        _Field("extent", _EXTENT),
+    ),
+    "inhibition": _shape(
+        InhibitionEpisode,
+        (_ID,),
+        _Field("agent", _IDENT),
+        _Field("toward", _IDENT, None),
+        _Field("extent", _EXTENT),
+    ),
+    "set": _shape(SetDirective, (_Field("key", _SET_KEY), _Field("value", _RATIONAL))),
+    "query": _shape(
+        QuerySpec,
+        ("loves", _Field("subject", _IDENT), _Field("object", _IDENT)),
+        _Field("interval", _INTERVAL),
+        _Field("threshold", _RATIONAL, None),
+    ),
 }
 
+_HEADS = {shape.record: head for head, shape in _GRAMMAR.items()}
 
-def _parse_line(line: str) -> Statement | None:
+
+def _parse_statement(line: str) -> Statement | None:
+    """Read one line's statement; ``None`` for a blank or comment line."""
     tokens = _tokenize(line.split("#", 1)[0])
     if not tokens:
         return None
     head = tokens[0]
-    if head.kind != "ident" or head.text not in _PARSERS:
+    shape = _GRAMMAR.get(head.text)
+    if shape is None:
         raise _StatementError(f"unknown directive {_quoted(head.text)}", head.column)
     cur = _Cursor(tokens)
     cur.ident(head.text)
-    statement = _PARSERS[head.text](cur, head)
+    values: dict[str, object] = {}
+    for part in shape.positional:
+        if isinstance(part, str):
+            cur.ident(part)
+        else:
+            values[part.name] = part.kind.read(cur)
+    # Only a statement with fields reads key=value pairs; in any other a
+    # stray token is trailing, not an unknown field.
+    if shape.fields:
+        given: dict[str, object] = {}
+        while not cur.at_end():
+            key = cur.ident()
+            field = shape.fields.get(key.text)
+            if field is None or key.text in given:
+                problem = "unknown" if field is None else "duplicate"
+                raise _StatementError(
+                    f"{problem} field {_quoted(key.text)}", key.column
+                )
+            cur.punct("=")
+            given[key.text] = field.kind.read(cur)
+        for name, field in shape.fields.items():
+            value = given.get(name, field.default)
+            if value is _REQUIRED:
+                raise _StatementError(f"missing field '{name}'", head.column)
+            values[name] = value
     if not cur.at_end():
         stray = cur.peek()
         raise _StatementError(
             f"unexpected trailing {_quoted(stray.text)}", stray.column
         )
-    return statement
+    return shape.record(**values)
 
 
-def _id_of(statement: Statement) -> str | None:
-    if isinstance(statement, AgentDecl):
-        return statement.name
-    if isinstance(statement, (SensationEpisode, ValueJudgment, InhibitionEpisode)):
-        return statement.id
-    return None
+def _header_diagnostics(text: str) -> list[Diagnostic]:
+    """``E_SYNTAX`` if the first non-blank line names a version other than 1.
 
-
-_KIND_NAMES = {
-    AgentDecl: "agent",
-    SensationEpisode: "sensation",
-    ValueJudgment: "judgment",
-    InhibitionEpisode: "inhibition",
-}
+    The header is optional: any other first line is read as usual.
+    """
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        if not raw.strip(" \t"):
+            continue
+        header = _HEADER_RE.match(raw)
+        if header is None or header[1] == "1":
+            return []
+        return [
+            Diagnostic(
+                E_SYNTAX,
+                f"unsupported format version {_quoted('v' + header[1])} "
+                f"(expected '{HEADER}')",
+                line=line_no,
+                column=header.start(1),
+            )
+        ]
+    return []
 
 
 def _build_timeline(
@@ -433,19 +415,24 @@ def _build_timeline(
     diags: list[Diagnostic] = []
     positions: dict[str, tuple[int, int]] = {}
     declared: dict[str, str] = {}
-    agents: list[str] = []
-    acquaintances: list[AcquaintanceRecord] = []
-    sensations: list[SensationEpisode] = []
-    judgments: list[ValueJudgment] = []
-    inhibitions: list[InhibitionEpisode] = []
-    queries: list[QuerySpec] = []
-    config_values: dict[str, Fraction] = {}
+    records: dict[str, list] = {head: [] for head in _GRAMMAR}
+    config: dict[str, Fraction] = {}
 
     for statement, line, column in parsed:
-        record_id = _id_of(statement)
-        if record_id is not None:
+        head = _HEADS[type(statement)]
+        if head == "set":
+            # Document-wide, last writer wins.
+            name = _CONFIG_FIELDS[statement.key]
+            config[name] = statement.value
+            positions[f"config.{name}"] = (line, column)
+            continue
+        kept = records[head]
+        if head in ("acquaintance", "query"):
+            positions[f"{head}[{len(kept)}]"] = (line, column)
+        else:
             # Ids share one namespace so judgment targets resolve without
             # ambiguity; the first declaration wins, later ones error.
+            record_id = statement.name if head == "agent" else statement.id
             if record_id in declared:
                 diags.append(
                     Diagnostic(
@@ -458,56 +445,30 @@ def _build_timeline(
                     )
                 )
                 continue
-            declared[record_id] = _KIND_NAMES[type(statement)]
+            declared[record_id] = head
             positions[record_id] = (line, column)
-        if isinstance(statement, AgentDecl):
-            agents.append(statement.name)
-        elif isinstance(statement, AcquaintanceRecord):
-            positions[f"acquaintance[{len(acquaintances)}]"] = (line, column)
-            acquaintances.append(statement)
-        elif isinstance(statement, SensationEpisode):
-            sensations.append(statement)
-        elif isinstance(statement, ValueJudgment):
-            judgments.append(statement)
-        elif isinstance(statement, InhibitionEpisode):
-            inhibitions.append(statement)
-        elif isinstance(statement, QuerySpec):
-            positions[f"query[{len(queries)}]"] = (line, column)
-            queries.append(statement)
-        elif isinstance(statement, SetDirective):
-            # Document-wide, last writer wins.
-            config_values[statement.key] = statement.value
-            handle = (
-                "config.threshold_default"
-                if statement.key == "threshold"
-                else "config.min_intensity"
-            )
-            positions[handle] = (line, column)
+        kept.append(statement)
 
-    config = Config(
-        threshold_default=config_values.get("threshold", Fraction(1)),
-        min_intensity=config_values.get("min_intensity", Fraction(0)),
-    )
     timeline = Timeline(
-        agents=tuple(agents),
-        acquaintances=tuple(acquaintances),
-        sensations=tuple(sensations),
-        judgments=tuple(judgments),
-        inhibitions=tuple(inhibitions),
-        queries=tuple(queries),
-        config=config,
+        agents=tuple(decl.name for decl in records["agent"]),
+        acquaintances=tuple(records["acquaintance"]),
+        sensations=tuple(records["sensation"]),
+        judgments=tuple(records["judgment"]),
+        inhibitions=tuple(records["inhibition"]),
+        queries=tuple(records["query"]),
+        config=Config(**config),
     )
     return timeline, positions, diags
 
 
 def parse_document(text: str) -> ParseResult:
     """Parse source text, collecting every diagnostic in one run."""
-    diags: list[Diagnostic] = []
+    diags = _header_diagnostics(text)
     statements: list[Statement] = []
     parsed: list[tuple[Statement, int, int]] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         try:
-            statement = _parse_line(raw)
+            statement = _parse_statement(raw)
         except _StatementError as exc:
             diags.append(
                 Diagnostic(exc.code, exc.message, line=line_no, column=exc.column)
@@ -541,48 +502,21 @@ def parse_document(text: str) -> ParseResult:
 
 
 def _serialize_statement(statement: Statement) -> str:
-    if isinstance(statement, AgentDecl):
-        return f"agent {statement.name}"
-    if isinstance(statement, AcquaintanceRecord):
-        return (
-            f"acquaintance {statement.subject} {statement.object} "
-            f"at {format_rational(statement.at)}"
-        )
-    if isinstance(statement, SensationEpisode):
-        intensity = (
-            ""
-            if statement.intensity == 1
-            else f" intensity={format_rational(statement.intensity)}"
-        )
-        return (
-            f"sensation {statement.id} bearer={statement.bearer} "
-            f"correlate={statement.correlate} valence={statement.valence.value}"
-            f"{intensity} extent={format_interval_set(statement.extent)}"
-        )
-    if isinstance(statement, ValueJudgment):
-        return (
-            f"judgment {statement.id} agent={statement.agent} "
-            f"target={statement.target} extent={format_interval_set(statement.extent)}"
-        )
-    if isinstance(statement, InhibitionEpisode):
-        toward = "" if statement.toward is None else f" toward={statement.toward}"
-        return (
-            f"inhibition {statement.id} agent={statement.agent}{toward} "
-            f"extent={format_interval_set(statement.extent)}"
-        )
-    if isinstance(statement, SetDirective):
-        return f"set {statement.key} {format_rational(statement.value)}"
-    if isinstance(statement, QuerySpec):
-        threshold = (
-            ""
-            if statement.threshold is None
-            else f" threshold={format_rational(statement.threshold)}"
-        )
-        return (
-            f"query loves {statement.subject} {statement.object} "
-            f"interval={statement.interval}{threshold}"
-        )
-    raise TypeError(f"not a statement: {statement!r}")
+    head = _HEADS.get(type(statement))
+    if head is None:
+        raise TypeError(f"not a statement: {statement!r}")
+    shape = _GRAMMAR[head]
+    words = [head]
+    for part in shape.positional:
+        if isinstance(part, str):
+            words.append(part)
+        else:
+            words.append(part.kind.write(getattr(statement, part.name)))
+    for name, field in shape.fields.items():
+        value = getattr(statement, name)
+        if field.default is _REQUIRED or value != field.default:
+            words.append(f"{name}={field.kind.write(value)}")
+    return " ".join(words)
 
 
 def serialize_document(statements: Sequence[Statement]) -> str:

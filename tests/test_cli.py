@@ -140,6 +140,35 @@ class TestCheck:
         assert err.startswith(f"{path}:4:21: E_SYNTAX: rational of 5000 ")
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "header, expected",
+        [("# loveline v2\n", 1), ("# loveline v1\n", 0), ("", 0)],
+    )
+    def test_header_version(self, capsys, tmp_path, header, expected):
+        path = tmp_path / "header.love"
+        path.write_text(f"{header}agent a\n", encoding="utf-8")
+        code, out, err = run_main("check", str(path), capsys=capsys)
+        assert (code, out) == (expected, "")
+        assert err == ("" if expected == 0 else (
+            f"{path}:1:12: E_SYNTAX: unsupported format version 'v2' "
+            "(expected '# loveline v1')\n"
+        ))
+
+    def test_long_undeclared_target_is_quoted_briefly(self, capsys, tmp_path):
+        path = tmp_path / "long.love"
+        path.write_text(
+            f"agent a\njudgment j agent=a target={'t' * 3000} extent=[0,1)\n",
+            encoding="utf-8",
+        )
+        code, out, err = run_main("check", str(path), capsys=capsys)
+        assert (code, out) == (1, "")
+        [line] = err.splitlines()
+        assert line == (
+            f"{path}:2:1: E_UNKNOWN_REF: judgment 'j' target "
+            f"'{'t' * 30}...' (3000 characters) is neither an agent nor a "
+            "sensation episode"
+        )
+
 
 class TestExplain:
     def test_mixed_query_1(self, capsys):

@@ -93,6 +93,37 @@ class TestValidateTimeline:
             "acquaintance[0]", "s", "j", "i", "query[0]",
         }
 
+    def test_long_ids_are_quoted_briefly(self):
+        a, ghost, empty = "a" * 3000, "g" * 3000, IntervalSet(())
+        tl = Timeline(
+            agents=(a, a),
+            acquaintances=(AcquaintanceRecord(a, a, F(0)),),
+            sensations=(
+                SensationEpisode("s" * 3000, a, a, Valence.POSITIVE, empty, F(2)),
+            ),
+            judgments=(ValueJudgment("j" * 3000, ghost, ghost, empty),),
+            inhibitions=(InhibitionEpisode("i" * 3000, a, ghost, empty),),
+            queries=(QuerySpec(ghost, a, Interval(F(0), F(1))),),
+        )
+        diags = validate_timeline(tl)
+        assert codes(diags) == (
+            ["E_DUP_ID"] + ["E_EMPTY_INTERVAL"] * 3 + ["E_INTENSITY_RANGE"]
+            + ["E_SELF_CORRELATE"] * 2 + ["E_UNKNOWN_REF"] * 4
+        )
+        for diag in diags:
+            assert len(diag.message) < 200
+            assert "(3000 characters)" in diag.message
+        # The handle keeps the whole id: the parser maps positions by it.
+        assert [d.record for d in diags if d.code == "E_DUP_ID"] == [a]
+
+    def test_short_ids_are_quoted_whole(self):
+        tl = Timeline(
+            agents=("a",), judgments=(ValueJudgment("j", "a", "x", ext(0, 1)),)
+        )
+        assert [d.message for d in validate_timeline(tl)] == [
+            "judgment 'j' target 'x' is neither an agent nor a sensation episode"
+        ]
+
     def test_judgment_target_may_be_agent_or_sensation(self):
         tl = Timeline(
             agents=("a", "b"),

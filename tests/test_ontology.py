@@ -208,6 +208,35 @@ class TestValidate:
         diags = validate([Q1, Individual("q1", BfoClass.AGENT, "again")], [])
         assert codes(diags) == ["E_DUP_ID"]
 
+    def test_long_ids_are_quoted_briefly(self):
+        quality = Individual("q" * 3000, BfoClass.QUALITY, "a quality")
+        content = Individual("c" * 3000, ICE.cls, "a content")
+        rels = [
+            RelationAssertion(RelationKind.IS_ABOUT, quality.id, quality.id),
+            RelationAssertion(RelationKind.INHERES_IN, quality.id, quality.id),
+            RelationAssertion(RelationKind.INHERES_IN, quality.id, "g" * 3000),
+        ]
+        diags = validate([quality, quality, content], rels)
+        assert codes(diags) == [
+            "E_ABOUTNESS", "E_DOMAIN", "E_DUP_ID", "E_RANGE", "E_UNKNOWN_REF",
+        ]
+        for diag in diags:
+            assert len(diag.message) < 200
+            assert "(3000 characters)" in diag.message
+        assert {d.record for d in diags} == {
+            quality.id, content.id, *(rel.render() for rel in rels)
+        }
+
+    def test_short_ids_are_quoted_whole(self):
+        diags = validate(
+            [Q1, Q1], [RelationAssertion(RelationKind.INHERES_IN, "q1", "q1")]
+        )
+        assert sorted(d.message for d in diags) == [
+            "duplicate individual id 'q1'",
+            "inheres_in object 'q1' is Quality, expected an independent "
+            "continuant that is not a spatial region",
+        ]
+
     def test_order_independent_multiset(self):
         inds = [Q1, Q2, AG, PR, ICE]
         rels = [

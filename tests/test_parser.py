@@ -5,6 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from loveline import (
     AgentDecl,
@@ -172,6 +173,37 @@ def single_code(text: str) -> tuple[str, int]:
     return diag.code, diag.line
 
 
+class TestHeader:
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "# loveline v1\nagent a\n",
+            "agent a\n",
+            " \n\t\n  # loveline v1\nagent a\n",
+            "# loveline v2 draft\nagent a\n",
+            "agent a\n# loveline v2\n",
+        ],
+    )
+    def test_v1_other_comments_and_no_header_are_accepted(self, text):
+        result = parse_document(text)
+        assert result.ok
+        assert result.statements == (AgentDecl("a"),)
+
+    def test_other_version_is_a_syntax_error(self):
+        result = parse_document("\n# loveline v2\nagent a\n")
+        assert [d.render("f.love") for d in result.diagnostics] == [
+            "f.love:2:12: E_SYNTAX: unsupported format version 'v2' "
+            "(expected '# loveline v1')"
+        ]
+        assert result.timeline is None
+        assert result.statements == (AgentDecl("a"),)
+
+    def test_long_version_is_quoted_briefly(self):
+        [diag] = parse_document(f"#loveline v{'2' * 3000}\n").diagnostics
+        assert (diag.code, diag.line, diag.column) == ("E_SYNTAX", 1, 11)
+        assert len(diag.message) < 120
+
+
 class TestDiagnostics:
     def test_overlong_literal_reports_its_line(self):
         text = f"agent a\nagent b\nacquaintance a b at {'1' * 5000}\n"
@@ -294,7 +326,41 @@ class TestDiagnostics:
         assert line == "f.love:1:1: E_SYNTAX: unknown directive 'wibble'"
 
 
+MIXED_CANONICAL = """\
+# loveline v1
+agent ada
+agent ben
+agent cyn
+set threshold 1/3
+set min_intensity 1/2
+acquaintance ada ben at 1
+acquaintance ada cyn at 0
+acquaintance cyn ada at 2
+sensation warm bearer=ada correlate=ben valence=positive intensity=3/4 extent=[1,9)
+sensation dull bearer=ada correlate=ben valence=positive intensity=1/4 extent=[9,12)
+sensation sour bearer=ada correlate=ben valence=negative extent=[2,5)
+sensation glow bearer=ada correlate=cyn valence=positive extent=[0,4)+[6,10)
+sensation spark bearer=cyn correlate=ada valence=positive extent=[2,8)
+judgment jwarm agent=ada target=warm extent=[2,10)
+judgment jben agent=ada target=ben extent=[11,12)
+judgment jglow agent=ada target=glow extent=[1,7)
+judgment jspark agent=cyn target=spark extent=[0,6)
+inhibition pause agent=ada toward=ben extent=[4,6)
+inhibition lull agent=cyn extent=[3,4)
+query loves ada ben interval=[0,12)
+query loves ada cyn interval=[0,12) threshold=2
+query loves cyn ada interval=[0,10)
+query loves ben ada interval=[0,10)
+"""
+
+
 class TestSerialize:
+    def test_mixed_fixture_canonical_bytes(self):
+        # Pins the field order, omitted defaults and number forms exactly;
+        # a round trip alone would not, since fields parse in any order.
+        result = parse_path("mixed.love")
+        assert serialize_document(result.statements) == MIXED_CANONICAL
+
     def test_canonical_fixture_is_a_fixpoint(self):
         text = (FIXTURE_DIR / "timeline_a.love").read_text(encoding="utf-8")
         result = parse_document(text)
@@ -347,3 +413,93 @@ class TestSerialize:
         assert serialize_document(stmts) == (
             HEADER + "\nagent a\nset threshold 1/2\n"
         )
+
+
+# Grammar-built statements as token lists, with ``key=value`` fields in any
+# order and optional fields sometimes left out.
+_idents = st.sampled_from(["a", "b", "s", "j", "at", "loves", "agent"])
+_rationals = st.sampled_from(
+    ["0", "1", "2", "-1", "1/2", "3/4", "0.75", ".5", "2.", "+7", "1/0"]
+)
+_interval_tokens = st.tuples(
+    st.sampled_from(["0", "-1", "1/2", ".5", "0.75"]),
+    st.sampled_from(["1", "2.", "3/4", "+7", "1/0"]),
+).map(lambda ends: ["[", ends[0], ",", ends[1], ")"])
+_extent_tokens = st.lists(_interval_tokens, min_size=1, max_size=3).map(
+    lambda parts: [t for i, part in enumerate(parts) for t in ["+"] * (i > 0) + part]
+)
+
+
+def _field(name: str, values) -> st.SearchStrategy:
+    return values.map(lambda v: [name, "="] + (v if isinstance(v, list) else [v]))
+
+
+def _with_fields(head: list, required: list, optional: list) -> st.SearchStrategy:
+    maybe = [st.none() | field for field in optional]
+    return st.tuples(st.tuples(*head), *required, *maybe).flatmap(
+        lambda drawn: st.permutations([f for f in drawn[1:] if f]).map(
+            lambda fields: list(drawn[0]) + [t for f in fields for t in f]
+        )
+    )
+
+
+_statement_tokens = st.one_of(
+    _idents.map(lambda name: ["agent", name]),
+    st.tuples(_idents, _idents, _rationals).map(
+        lambda t: ["acquaintance", t[0], t[1], "at", t[2]]
+    ),
+    _with_fields(
+        [st.just("sensation"), _idents],
+        [_field("bearer", _idents), _field("correlate", _idents),
+         _field("valence", st.sampled_from(["positive", "negative"])),
+         _field("extent", _extent_tokens)],
+        [_field("intensity", _rationals)],
+    ),
+    _with_fields(
+        [st.just("judgment"), _idents],
+        [_field("agent", _idents), _field("target", _idents),
+         _field("extent", _extent_tokens)],
+        [],
+    ),
+    _with_fields(
+        [st.just("inhibition"), _idents],
+        [_field("agent", _idents), _field("extent", _extent_tokens)],
+        [_field("toward", _idents)],
+    ),
+    st.tuples(st.sampled_from(["threshold", "min_intensity"]), _rationals).map(
+        lambda t: ["set", *t]
+    ),
+    _with_fields(
+        [st.just("query"), st.just("loves"), _idents, _idents],
+        [_field("interval", _interval_tokens)],
+        [_field("threshold", _rationals)],
+    ),
+)
+_stray_tokens = st.sampled_from(
+    ["agent", "query", "set", "at", "loves", "extent", "target", "=", "[", ",",
+     ")", "+", "(", "#", "\n", "1", "-1/2", "0.5", "Z", "x" * 50, "# loveline v2"]
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    lines=st.lists(_statement_tokens, max_size=8),
+    edits=st.lists(
+        st.tuples(st.sampled_from(["delete", "insert", "swap"]),
+                  st.integers(0, 200), st.integers(0, 200), _stray_tokens),
+        max_size=4,
+    ),
+)
+def test_grammar_mutated_text_parses_and_round_trips(lines, edits):
+    tokens = [t for line in lines for t in line + ["\n"]]
+    for op, i, j, stray in edits:
+        if op == "insert":
+            tokens.insert(i % (len(tokens) + 1), stray)
+        elif tokens and op == "delete":
+            del tokens[i % len(tokens)]
+        elif tokens:
+            i, j = i % len(tokens), j % len(tokens)
+            tokens[i], tokens[j] = tokens[j], tokens[i]
+    result = parse_document(" ".join(tokens))
+    again = parse_document(serialize_document(result.statements))
+    assert again.statements == result.statements
