@@ -61,7 +61,6 @@ from .semantics import (
     evaluate,
     explain,
     inhibition_mask,
-    love_event_set,
     love_state_at,
     tick_oracle,
 )
@@ -103,7 +102,6 @@ __all__ = [
     "format_interval_set",
     "format_rational",
     "inhibition_mask",
-    "love_event_set",
     "love_state_at",
     "parse_document",
     "parse_rational",

@@ -112,11 +112,11 @@ def _threshold_of(query: QuerySpec, timeline: Timeline) -> Fraction:
     return timeline.config.threshold_default
 
 
-def _query_line(query: QuerySpec, threshold: Fraction, verdict: Verdict) -> str:
+def _query_line(query: QuerySpec, verdict: Verdict) -> str:
     word = "HOLDS" if verdict.holds else "FAILS"
     return (
         f"loves({query.subject},{query.object}) over {query.interval} "
-        f"T={format_rational(threshold)}: {word} "
+        f"T={format_rational(verdict.threshold)}: {word} "
         f"s={format_rational(verdict.s)} c={format_rational(verdict.c)}"
     )
 
@@ -125,14 +125,12 @@ def _cmd_check(path: str, out: TextIO, err: TextIO) -> int:
     return 0 if _load(path, err) is not None else 1
 
 
-def _query_record(
-    query: QuerySpec, threshold: Fraction, verdict: Verdict
-) -> dict:
+def _query_record(query: QuerySpec, verdict: Verdict) -> dict:
     return {
         "subject": query.subject,
         "object": query.object,
         "interval": str(query.interval),
-        "threshold": format_rational(threshold),
+        "threshold": format_rational(verdict.threshold),
         "holds": verdict.holds,
         "s": format_rational(verdict.s),
         "c": format_rational(verdict.c),
@@ -151,7 +149,7 @@ def _cmd_eval(path: str, fmt: str, out: TextIO, err: TextIO) -> int:
         verdict = evaluate(
             query.subject, query.object, query.interval, threshold, timeline
         )
-        results.append(_guarded(n, lambda: render(query, threshold, verdict)))
+        results.append(_guarded(n, lambda: render(query, verdict)))
     # Rendered in full before any is written, so a failure prints nothing.
     if fmt == "text":
         out.write("".join(line + "\n" for line in results))
@@ -180,18 +178,18 @@ def _cmd_explain(path: str, index: int, out: TextIO, err: TextIO) -> int:
     trace = explain(
         query.subject, query.object, query.interval, threshold, timeline
     )
-    out.write(_guarded(index, lambda: _trace_text(query, threshold, trace)))
+    out.write(_guarded(index, lambda: _trace_text(query, trace)))
     return 0
 
 
-def _trace_text(query: QuerySpec, threshold: Fraction, trace: Trace) -> str:
+def _trace_text(query: QuerySpec, trace: Trace) -> str:
     onset = (
         "(none)"
         if trace.acquaintance_onset is None
         else format_rational(trace.acquaintance_onset)
     )
     lines = (
-        _query_line(query, threshold, trace.verdict),
+        _query_line(query, trace.verdict),
         f"condition (i):          {_format_set(trace.condition_i)}",
         f"condition (ii) derived: {_format_set(trace.condition_ii_derived)}",
         f"condition (ii) direct:  {_format_set(trace.condition_ii_direct)}",
@@ -234,7 +232,7 @@ def _cmd_oracle(
         if (fast.holds, fast.s, fast.c) != (slow.holds, slow.s, slow.c):
             status = 1
             print(
-                f"mismatch {_query_line(query, threshold, fast)} "
+                f"mismatch {_query_line(query, fast)} "
                 f"!= oracle {'HOLDS' if slow.holds else 'FAILS'} "
                 f"s={format_rational(slow.s)} c={format_rational(slow.c)}",
                 file=out,

@@ -60,14 +60,15 @@ from .model import (
 
 HEADER = "# loveline v1"
 
-_HEADER_RE = re.compile(r"[ \t]*#[ \t]*loveline[ \t]+v(\d+)[ \t]*\Z")
+_HEADER_RE = re.compile(r"[ \t]*#[ \t]*loveline[ \t]+v([0-9]+)[ \t]*\Z")
 
 
 class DslSyntaxError(LovelineError):
     code = E_SYNTAX
 
 
-_NUMBER = r"[+-]?(?:\d+/\d+|\d+\.\d*|\.\d+|\d+)"
+# ASCII digits only: ``\d`` would also match other scripts' digits.
+_NUMBER = r"[+-]?(?:[0-9]+/[0-9]+|[0-9]+\.[0-9]*|\.[0-9]+|[0-9]+)"
 _RATIONAL_RE = re.compile(_NUMBER + r"\Z")
 
 
@@ -386,12 +387,12 @@ def _parse_statement(line: str) -> Statement | None:
     return shape.record(**values)
 
 
-def _header_diagnostics(text: str) -> list[Diagnostic]:
+def _header_diagnostics(lines: list[str]) -> list[Diagnostic]:
     """``E_SYNTAX`` if the first non-blank line names a version other than 1.
 
     The header is optional: any other first line is read as usual.
     """
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(lines, start=1):
         if not raw.strip(" \t"):
             continue
         header = _HEADER_RE.match(raw)
@@ -463,10 +464,13 @@ def _build_timeline(
 
 def parse_document(text: str) -> ParseResult:
     """Parse source text, collecting every diagnostic in one run."""
-    diags = _header_diagnostics(text)
+    # Lines end at LF only (str.splitlines also ends them at U+2028, U+0085,
+    # form feed and more); one CR before the LF is dropped.
+    lines = [line.removesuffix("\r") for line in text.split("\n")]
+    diags = _header_diagnostics(lines)
     statements: list[Statement] = []
     parsed: list[tuple[Statement, int, int]] = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(lines, start=1):
         try:
             statement = _parse_statement(raw)
         except _StatementError as exc:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .diagnostics import GranularityError, ThresholdError
 from .intervals import Interval, IntervalSet, format_rational
@@ -66,17 +66,29 @@ class Trace:
     verdict: Verdict
 
 
+class _PairSignals(NamedTuple):
+    """Every signal of one pair over all time, computed once."""
+
+    condition_i: IntervalSet
+    derived: IntervalSet
+    direct: IntervalSet
+    onset: Fraction | None
+    mask: IntervalSet
+    # condition (i) ∩ (derived ∪ direct): the love events before windowing.
+    love: IntervalSet
+
+
 class _PairIndex:
     """A timeline's records grouped by the pair or agent they concern.
 
     Built in one pass on first use and kept on the timeline (see
     :func:`_index_of`), so every signal below reads only its own pair's
-    records. ``love`` caches each pair's love base, condition (i) ∩
-    condition (ii) over all time, keyed by ``(subject, object)``.
+    records. ``signals`` caches each pair's :class:`_PairSignals`, keyed by
+    ``(subject, object)``.
     """
 
     __slots__ = ("sensations", "judgments", "inhibit_all", "inhibit_toward",
-                 "onset", "love")
+                 "onset", "signals")
 
     def __init__(self, timeline: Timeline) -> None:
         # Positive sensations by (bearer, correlate).
@@ -88,7 +100,7 @@ class _PairIndex:
         self.inhibit_toward: dict[tuple[str, str], list[IntervalSet]] = {}
         # Earliest acquaintance by (subject, object).
         self.onset: dict[tuple[str, str], Fraction] = {}
-        self.love: dict[tuple[str, str], IntervalSet] = {}
+        self.signals: dict[tuple[str, str], _PairSignals] = {}
         for ep in timeline.sensations:
             if ep.valence is Valence.POSITIVE:
                 pair = (ep.bearer, ep.correlate)
@@ -122,17 +134,43 @@ def _merged(parts: Iterable[IntervalSet]) -> IntervalSet:
     return IntervalSet(tuple(iv for part in parts for iv in part))
 
 
+def _signals_of(subject: str, object_: str, timeline: Timeline) -> _PairSignals:
+    """One pair's signals, built from the index on first use and cached;
+    the public functions below say what each one means."""
+    index, pair = _index_of(timeline), (subject, object_)
+    signals = index.signals.get(pair)
+    if signals is not None:
+        return signals
+    mask = _merged((*index.inhibit_all.get(subject, ()),
+                    *index.inhibit_toward.get(pair, ())))
+    floor = timeline.config.min_intensity
+    episodes = index.sensations.get(pair, ())
+    cond_i = _merged(ep.extent for ep in episodes
+                     if ep.intensity >= floor).difference(mask)
+    onset = index.onset.get(pair)
+    if onset is None:
+        derived = direct = love = IntervalSet()
+    else:
+        derived = _merged(
+            extent.intersect(ep.extent)
+            for ep in episodes
+            for extent in index.judgments.get((subject, ep.id), ())
+        ).clip_from(onset).difference(mask)
+        direct = _merged(index.judgments.get(pair, ()))
+        direct = direct.clip_from(onset).difference(mask)
+        love = cond_i.intersect(derived.union(direct))
+    signals = _PairSignals(cond_i, derived, direct, onset, mask, love)
+    index.signals[pair] = signals
+    return signals
+
+
 def inhibition_mask(subject: str, object_: str, timeline: Timeline) -> IntervalSet:
     """Instants where ``subject``'s inhibitory control blocks both signals.
 
     An episode applies when its agent is ``subject`` and it is either
     untargeted or aimed at ``object_``.
     """
-    index = _index_of(timeline)
-    return _merged((
-        *index.inhibit_all.get(subject, ()),
-        *index.inhibit_toward.get((subject, object_), ()),
-    ))
+    return _signals_of(subject, object_, timeline).mask
 
 
 def condition_i_signal(
@@ -144,17 +182,14 @@ def condition_i_signal(
     positive valence, and intensity at or above the timeline's
     ``config.min_intensity``. The inhibition mask is subtracted.
     """
-    floor = timeline.config.min_intensity
-    episodes = _index_of(timeline).sensations.get((subject, object_), ())
-    out = _merged(ep.extent for ep in episodes if ep.intensity >= floor)
-    return out.difference(inhibition_mask(subject, object_, timeline))
+    return _signals_of(subject, object_, timeline).condition_i
 
 
 def acquaintance_onset(
     subject: str, object_: str, timeline: Timeline
 ) -> Fraction | None:
     """Earliest instant at which ``subject`` met ``object_``, if ever."""
-    return _index_of(timeline).onset.get((subject, object_))
+    return _signals_of(subject, object_, timeline).onset
 
 
 def condition_ii_components(
@@ -173,41 +208,8 @@ def condition_ii_components(
     Both parts come back clipped to the acquaintance onset and minus the
     inhibition mask; without acquaintance both are empty.
     """
-    onset = acquaintance_onset(subject, object_, timeline)
-    if onset is None:
-        return IntervalSet(), IntervalSet()
-    mask = inhibition_mask(subject, object_, timeline)
-    index = _index_of(timeline)
-    derived = _merged(
-        extent.intersect(ep.extent)
-        for ep in index.sensations.get((subject, object_), ())
-        for extent in index.judgments.get((subject, ep.id), ())
-    )
-    direct = _merged(index.judgments.get((subject, object_), ()))
-    derived = derived.clip_from(onset).difference(mask)
-    direct = direct.clip_from(onset).difference(mask)
-    return derived, direct
-
-
-def _love_base(subject: str, object_: str, timeline: Timeline) -> IntervalSet:
-    """Both conditions over all time; computed once per pair."""
-    love, pair = _index_of(timeline).love, (subject, object_)
-    base = love.get(pair)
-    if base is None:
-        derived, direct = condition_ii_components(subject, object_, timeline)
-        base = condition_i_signal(subject, object_, timeline).intersect(
-            derived.union(direct)
-        )
-        love[pair] = base
-    return base
-
-
-def love_event_set(
-    subject: str, object_: str, interval: Interval, timeline: Timeline
-) -> IntervalSet:
-    """Instants within ``interval`` where both conditions coincide."""
-    window = IntervalSet((interval,))
-    return window.intersect(_love_base(subject, object_, timeline))
+    signals = _signals_of(subject, object_, timeline)
+    return signals.derived, signals.direct
 
 
 def _check_threshold(threshold: Fraction) -> None:
@@ -253,8 +255,8 @@ def evaluate(
     construction already rejects them.
     """
     _check_threshold(threshold)
-    events = love_event_set(subject, object_, interval, timeline)
-    return _verdict(events, interval, threshold)
+    love = _signals_of(subject, object_, timeline).love
+    return _verdict(IntervalSet((interval,)).intersect(love), interval, threshold)
 
 
 def love_state_at(
@@ -275,10 +277,10 @@ def love_state_at(
     return (Fraction(t) in verdict.love_events, verdict.holds)
 
 
-_STAGE_NO_ACQUAINTANCE = "no acquaintance"
-_STAGE_COND_I_EMPTY = "condition (i) empty"
-_STAGE_COND_II_EMPTY = "condition (ii) empty"
-_STAGE_RATIO = "ratio below threshold"
+def _meets(signal: IntervalSet, interval: Interval) -> bool:
+    """Whether ``signal`` and ``interval`` share more than an instant."""
+    return any(iv.start < interval.end and interval.start < iv.end
+               for iv in signal)
 
 
 def explain(
@@ -293,36 +295,28 @@ def explain(
     ``first_failure`` is judged within the query window, earliest stage
     first: no acquaintance, then an empty condition (i), then an empty
     condition (ii), then a ratio at or below the threshold; ``None`` when
-    the predicate holds. The verdict is built from the same signals, so it
-    equals :func:`evaluate`'s.
+    the predicate holds. The verdict is :func:`evaluate`'s.
     """
-    _check_threshold(threshold)
-    cond_i = condition_i_signal(subject, object_, timeline)
-    derived, direct = condition_ii_components(subject, object_, timeline)
-    onset = acquaintance_onset(subject, object_, timeline)
-    mask = inhibition_mask(subject, object_, timeline)
-
-    window = IntervalSet((interval,))
-    cond_i_in = cond_i.intersect(window)
-    cond_ii_in = derived.union(direct).intersect(window)
-    verdict = _verdict(cond_i_in.intersect(cond_ii_in), interval, threshold)
-    if onset is None:
-        failure = _STAGE_NO_ACQUAINTANCE
-    elif cond_i_in.is_empty():
-        failure = _STAGE_COND_I_EMPTY
-    elif cond_ii_in.is_empty():
-        failure = _STAGE_COND_II_EMPTY
+    verdict = evaluate(subject, object_, interval, threshold, timeline)
+    signals = _signals_of(subject, object_, timeline)
+    if signals.onset is None:
+        failure = "no acquaintance"
+    elif not _meets(signals.condition_i, interval):
+        failure = "condition (i) empty"
+    elif not (_meets(signals.derived, interval)
+              or _meets(signals.direct, interval)):
+        failure = "condition (ii) empty"
     elif not verdict.holds:
-        failure = _STAGE_RATIO
+        failure = "ratio below threshold"
     else:
         failure = None
 
     return Trace(
-        condition_i=cond_i,
-        condition_ii_direct=direct,
-        condition_ii_derived=derived,
-        acquaintance_onset=onset,
-        inhibition_mask=mask,
+        condition_i=signals.condition_i,
+        condition_ii_direct=signals.direct,
+        condition_ii_derived=signals.derived,
+        acquaintance_onset=signals.onset,
+        inhibition_mask=signals.mask,
         first_failure=failure,
         verdict=verdict,
     )

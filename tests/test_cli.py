@@ -362,6 +362,13 @@ class TestUsageErrors:
             main(["oracle", fx("timeline_a.love"), "--granularity", "fast"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("value", ["\u0661", "1/\uff12", "\u0966.5"])
+    def test_non_ascii_digit_granularity(self, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle", fx("timeline_a.love"), "--granularity", value])
+        assert exc.value.code == 2
+        assert "malformed rational" in capsys.readouterr().err
+
 
 class TestModuleEntryPoint:
     def test_python_dash_m(self, capsys):

@@ -54,6 +54,14 @@ class TestParseRational:
         with pytest.raises(DslSyntaxError):
             parse_rational("1/0")
 
+    # Arabic-Indic three, fullwidth five, Devanagari one: Unicode decimal
+    # digits that Fraction would convert, but the format's digits are ASCII.
+    @pytest.mark.parametrize("token", ["\u0663", "1/\uff15", "0.\u0967",
+                                       "\u0967.5", "\uff15/2"])
+    def test_non_ascii_digits_are_malformed(self, token):
+        with pytest.raises(DslSyntaxError, match="malformed rational"):
+            parse_rational(token)
+
     @pytest.mark.parametrize("token", ["1" * 5000, "1/" + "3" * 5000,
                                        "0." + "5" * 5000])
     def test_too_many_digits(self, token):
@@ -164,6 +172,45 @@ class TestParseDocument:
         assert result.timeline.queries[0].interval == Interval(F(-3), F(-1))
 
 
+class TestLineSplitting:
+    # Line breaks that str.splitlines honours but the format does not.
+    OTHER_BREAKS = ["\u2028", "\u2029", "\x85", "\x0c", "\x0b", "\x1c",
+                    "\r"]
+
+    @pytest.mark.parametrize("brk", OTHER_BREAKS)
+    def test_only_lf_ends_a_comment(self, brk):
+        result = parse_document(f"agent a # note{brk}agent b\nagent c\n")
+        assert result.ok
+        assert result.timeline.agents == ("a", "c")
+
+    @pytest.mark.parametrize("brk", OTHER_BREAKS)
+    def test_other_breaks_keep_later_line_numbers(self, brk):
+        result = parse_document(f"agent a\nagent b{brk}agent c\nagent a\n")
+        assert [(d.code, d.line, d.column) for d in result.diagnostics] == [
+            ("E_SYNTAX", 2, 8), ("E_DUP_ID", 3, 1)]
+
+    def test_crlf_and_lf_give_the_same_statements_and_lines(self):
+        text = "agent a\nagent b\nagent a\nagent B\n"
+        lf, crlf = parse_document(text), parse_document(
+            text.replace("\n", "\r\n"))
+        assert lf.statements == crlf.statements
+        assert lf.diagnostics == crlf.diagnostics
+        assert [(d.line, d.column) for d in crlf.diagnostics] == [(3, 1), (4, 7)]
+
+    def test_only_one_trailing_cr_is_dropped(self):
+        result = parse_document("agent a\r\r\n")
+        assert [(d.line, d.column) for d in result.diagnostics] == [(1, 8)]
+
+    def test_header_is_read_from_the_same_lines(self):
+        # One line, not a blank line and a header: U+2028 is a stray
+        # character at the start of line 1.
+        [diag] = parse_document("\u2028# loveline v2\nagent a\n").diagnostics
+        assert (diag.line, diag.column) == (1, 1)
+        assert diag.message == "unexpected character '\\u2028'"
+        [diag] = parse_document("\r\n# loveline v2\r\n").diagnostics
+        assert (diag.code, diag.line, diag.column) == ("E_SYNTAX", 2, 12)
+
+
 def single_code(text: str) -> tuple[str, int]:
     result = parse_document(text)
     assert not result.ok
@@ -263,6 +310,20 @@ class TestDiagnostics:
         result = parse_document("agent Sally\n")
         assert [d.code for d in result.diagnostics] == ["E_SYNTAX"]
         assert result.diagnostics[0].column == 7
+
+    @pytest.mark.parametrize("line", [
+        "acquaintance a b at \u0663",
+        "query loves a b interval=[\u0660,\uff15)",
+        "sensation s bearer=a correlate=b intensity=0.\u0665 extent=[0,1)",
+    ])
+    def test_non_ascii_digits_are_unexpected_characters(self, line):
+        result = parse_document(f"agent a\nagent b\n{line}\n")
+        assert [(d.code, d.line) for d in result.diagnostics] == [
+            ("E_SYNTAX", 3)]
+        assert "unexpected character" in result.diagnostics[0].message
+
+    def test_non_ascii_header_version_is_a_comment(self):
+        assert parse_document("# loveline v\u0662\nagent a\n").ok
 
     def test_missing_field(self):
         code, _ = single_code("sensation s1 bearer=a correlate=b extent=[0,1)\n")

@@ -26,7 +26,6 @@ from loveline import (
     evaluate,
     explain,
     inhibition_mask,
-    love_event_set,
     love_state_at,
     tick_oracle,
 )
@@ -195,16 +194,19 @@ class TestInhibitionMask:
         assert condition_i_signal("sally", "john", tl) == iset((2, 4), (6, 8))
 
 
+def love_events(interval: Interval, tl: Timeline) -> IntervalSet:
+    """sally's love events toward john within ``interval``."""
+    return evaluate("sally", "john", interval, F(1), tl).love_events
+
+
 class TestLoveEventSet:
     def test_canonical(self, timeline_a, timeline_b, timeline_c):
-        assert love_event_set("sally", "john", WINDOW, timeline_a) == iset((3, 7))
-        assert love_event_set("sally", "john", WINDOW, timeline_b) == IntervalSet()
-        assert love_event_set("sally", "john", WINDOW, timeline_c) == iset((0, 10))
+        assert love_events(WINDOW, timeline_a) == iset((3, 7))
+        assert love_events(WINDOW, timeline_b) == IntervalSet()
+        assert love_events(WINDOW, timeline_c) == iset((0, 10))
 
     def test_window_restricts(self, timeline_a):
-        assert love_event_set(
-            "sally", "john", Interval(F(4), F(5)), timeline_a
-        ) == iset((4, 5))
+        assert love_events(Interval(F(4), F(5)), timeline_a) == iset((4, 5))
 
 
 class TestEvaluate:
@@ -361,6 +363,34 @@ class TestPairCache:
                 seen += 1
         assert seen >= 7
 
+    def test_every_signal_is_read_from_one_record_per_pair(self):
+        seen = 0
+        for path in sorted(FIXTURE_DIR.glob("*.love")):
+            tl = parse_document(path.read_text(encoding="utf-8")).timeline
+            if tl is None:
+                continue
+            for q in tl.queries:
+                threshold = (tl.config.threshold_default
+                             if q.threshold is None else q.threshold)
+                trace = explain(q.subject, q.object, q.interval, threshold, tl)
+                record = tl._pair_index.signals[q.subject, q.object]
+                derived, direct = condition_ii_components(
+                    q.subject, q.object, tl)
+                assert trace.condition_i is record.condition_i
+                assert trace.condition_ii_derived is record.derived is derived
+                assert trace.condition_ii_direct is record.direct is direct
+                assert trace.acquaintance_onset is record.onset
+                assert trace.inhibition_mask is record.mask
+                assert (condition_i_signal(q.subject, q.object, tl)
+                        is record.condition_i)
+                assert inhibition_mask(q.subject, q.object, tl) is record.mask
+                assert (acquaintance_onset(q.subject, q.object, tl)
+                        is record.onset)
+                seen += 1
+            assert set(tl._pair_index.signals) == {
+                (q.subject, q.object) for q in tl.queries}
+        assert seen >= 7
+
 
 class TestTickOracle:
     def test_matches_evaluate_on_canonical(self, timeline_a):
@@ -412,11 +442,12 @@ class TestTickOracle:
                             granularity)
 
 
-# Names on evaluate's route: the pair index, the cached love base, the
-# signal functions and the interval-set algebra they are built from.
+# Names on the routes of evaluate and explain: the pair index, the cached
+# pair signals, the signal functions and the interval-set algebra they are
+# built from.
 PRODUCTION_NAMES = frozenset({
-    "_index_of", "_PairIndex", "_pair_index", "_merged", "_love_base",
-    "evaluate", "love_event_set", "condition_i_signal",
+    "_index_of", "_PairIndex", "_pair_index", "_merged", "_signals_of",
+    "_PairSignals", "signals", "_meets", "evaluate", "condition_i_signal",
     "condition_ii_components", "inhibition_mask", "acquaintance_onset",
     "union", "intersect", "difference", "clip_from",
 })
