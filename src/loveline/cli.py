@@ -88,15 +88,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _load(path: str, err: TextIO) -> Timeline | None:
     try:
-        with open(path, encoding="utf-8") as handle:
-            text = handle.read()
+        with open(path, "rb") as handle:
+            data = handle.read()
+        text = data.decode("utf-8-sig")
     except OSError as exc:
         print(f"loveline: cannot read {path}: {exc.strerror}", file=err)
         return None
     except UnicodeDecodeError as exc:
+        # exc.object leaves out a leading byte-order mark; count it back in.
+        offset = len(data) - len(exc.object) + exc.start
         byte = exc.object[exc.start]
         print(f"loveline: cannot read {path}: not UTF-8 (byte 0x{byte:02x} "
-              f"at offset {exc.start})", file=err)
+              f"at offset {offset})", file=err)
         return None
     result = parse_document(text)
     if result.diagnostics:
@@ -121,10 +124,6 @@ def _query_line(query: QuerySpec, verdict: Verdict) -> str:
     )
 
 
-def _cmd_check(path: str, out: TextIO, err: TextIO) -> int:
-    return 0 if _load(path, err) is not None else 1
-
-
 def _query_record(query: QuerySpec, verdict: Verdict) -> dict:
     return {
         "subject": query.subject,
@@ -138,10 +137,7 @@ def _query_record(query: QuerySpec, verdict: Verdict) -> dict:
     }
 
 
-def _cmd_eval(path: str, fmt: str, out: TextIO, err: TextIO) -> int:
-    timeline = _load(path, err)
-    if timeline is None:
-        return 1
+def _cmd_eval(timeline: Timeline, fmt: str, out: TextIO) -> int:
     render = _query_line if fmt == "text" else _query_record
     results = []
     for n, query in enumerate(timeline.queries, start=1):
@@ -162,10 +158,9 @@ def _format_set(s) -> str:
     return format_interval_set(s) or "(empty)"
 
 
-def _cmd_explain(path: str, index: int, out: TextIO, err: TextIO) -> int:
-    timeline = _load(path, err)
-    if timeline is None:
-        return 1
+def _cmd_explain(
+    timeline: Timeline, index: int, out: TextIO, err: TextIO
+) -> int:
     if not 1 <= index <= len(timeline.queries):
         print(
             f"loveline: query index {index} out of range "
@@ -201,20 +196,14 @@ def _trace_text(query: QuerySpec, trace: Trace) -> str:
     return "".join(line + "\n" for line in lines)
 
 
-def _cmd_export(path: str, out: TextIO, err: TextIO) -> int:
-    timeline = _load(path, err)
-    if timeline is None:
-        return 1
+def _cmd_export(timeline: Timeline, out: TextIO) -> int:
     out.write(export_graph(project_timeline(timeline)))
     return 0
 
 
 def _cmd_oracle(
-    path: str, granularity: Fraction, out: TextIO, err: TextIO
+    timeline: Timeline, granularity: Fraction, out: TextIO, err: TextIO
 ) -> int:
-    timeline = _load(path, err)
-    if timeline is None:
-        return 1
     status = 0
     for n, query in enumerate(timeline.queries, start=1):
         threshold = _threshold_of(query, timeline)
@@ -243,17 +232,20 @@ def _cmd_oracle(
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     out, err = sys.stdout, sys.stderr
+    timeline = _load(args.file, err)
+    if timeline is None:
+        return 1
     try:
         if args.command == "check":
-            return _cmd_check(args.file, out, err)
+            return 0
         if args.command == "eval":
-            return _cmd_eval(args.file, args.format, out, err)
+            return _cmd_eval(timeline, args.format, out)
         if args.command == "explain":
-            return _cmd_explain(args.file, args.query, out, err)
+            return _cmd_explain(timeline, args.query, out, err)
         if args.command == "export-bfo":
-            return _cmd_export(args.file, out, err)
+            return _cmd_export(timeline, out)
         if args.command == "oracle":
-            return _cmd_oracle(args.file, args.granularity, out, err)
+            return _cmd_oracle(timeline, args.granularity, out, err)
     except _Unprintable as exc:
         print(f"loveline: {exc}", file=err)
         return 1

@@ -36,16 +36,12 @@ class BfoClass(Enum):
     SPECIFICALLY_DEPENDENT_CONTINUANT = "SpecificallyDependentContinuant"
     GENERICALLY_DEPENDENT_CONTINUANT = "GenericallyDependentContinuant"
     MATERIAL_ENTITY = "MaterialEntity"
-    SPATIAL_REGION = "SpatialRegion"
     AGENT = "Agent"
     QUALITY = "Quality"
     REALIZABLE_ENTITY = "RealizableEntity"
     DISPOSITION = "Disposition"
     OCCURRENT = "Occurrent"
     PROCESS = "Process"
-    PROCESS_BOUNDARY = "ProcessBoundary"
-    TEMPORAL_INSTANT = "TemporalInstant"
-    TEMPORAL_INTERVAL = "TemporalInterval"
     INFORMATION_CONTENT_ENTITY = "InformationContentEntity"
 
 
@@ -57,16 +53,12 @@ _PARENT: dict[BfoClass, BfoClass | None] = {
     BfoClass.SPECIFICALLY_DEPENDENT_CONTINUANT: BfoClass.CONTINUANT,
     BfoClass.GENERICALLY_DEPENDENT_CONTINUANT: BfoClass.CONTINUANT,
     BfoClass.MATERIAL_ENTITY: BfoClass.INDEPENDENT_CONTINUANT,
-    BfoClass.SPATIAL_REGION: BfoClass.INDEPENDENT_CONTINUANT,
     BfoClass.AGENT: BfoClass.MATERIAL_ENTITY,
     BfoClass.QUALITY: BfoClass.SPECIFICALLY_DEPENDENT_CONTINUANT,
     BfoClass.REALIZABLE_ENTITY: BfoClass.SPECIFICALLY_DEPENDENT_CONTINUANT,
     BfoClass.DISPOSITION: BfoClass.REALIZABLE_ENTITY,
     BfoClass.INFORMATION_CONTENT_ENTITY: BfoClass.GENERICALLY_DEPENDENT_CONTINUANT,
     BfoClass.PROCESS: BfoClass.OCCURRENT,
-    BfoClass.PROCESS_BOUNDARY: BfoClass.OCCURRENT,
-    BfoClass.TEMPORAL_INSTANT: BfoClass.OCCURRENT,
-    BfoClass.TEMPORAL_INTERVAL: BfoClass.OCCURRENT,
 }
 
 
@@ -85,8 +77,6 @@ class RelationKind(Enum):
     PARTICIPATES_IN = "participates_in"
     IS_ABOUT = "is_about"
     REALIZED_IN = "realized_in"
-    TEMPORAL_PART_OF = "temporal_part_of"
-    CONCRETIZED_IN = "concretized_in"
     CAUSALLY_CORRELATED_WITH = "causally_correlated_with"
 
 
@@ -112,58 +102,42 @@ class OntologyGraph(NamedTuple):
     relations: tuple[RelationAssertion, ...]
 
 
-def _not_spatial_independent(cls: BfoClass) -> bool:
-    return check_subclass(cls, BfoClass.INDEPENDENT_CONTINUANT) and not check_subclass(
-        cls, BfoClass.SPATIAL_REGION
-    )
-
-
-# Per relation kind: (domain predicate, domain description,
-#                     range predicate, range description).
+# Per relation kind: (domain classes, domain description,
+#                     range classes, range description);
+# an individual fits a side when its class lies under one of the classes.
 _CONSTRAINTS = {
     RelationKind.INHERES_IN: (
-        lambda c: check_subclass(c, BfoClass.SPECIFICALLY_DEPENDENT_CONTINUANT),
+        (BfoClass.SPECIFICALLY_DEPENDENT_CONTINUANT,),
         "a specifically dependent continuant",
-        _not_spatial_independent,
-        "an independent continuant that is not a spatial region",
+        (BfoClass.INDEPENDENT_CONTINUANT,),
+        "an independent continuant",
     ),
     RelationKind.PARTICIPATES_IN: (
-        lambda c: check_subclass(c, BfoClass.SPECIFICALLY_DEPENDENT_CONTINUANT)
-        or check_subclass(c, BfoClass.GENERICALLY_DEPENDENT_CONTINUANT)
-        or _not_spatial_independent(c),
-        "a dependent continuant or a non-spatial independent continuant",
-        lambda c: check_subclass(c, BfoClass.PROCESS),
+        (
+            BfoClass.SPECIFICALLY_DEPENDENT_CONTINUANT,
+            BfoClass.GENERICALLY_DEPENDENT_CONTINUANT,
+            BfoClass.INDEPENDENT_CONTINUANT,
+        ),
+        "a dependent or independent continuant",
+        (BfoClass.PROCESS,),
         "a process",
     ),
     RelationKind.IS_ABOUT: (
-        lambda c: check_subclass(c, BfoClass.INFORMATION_CONTENT_ENTITY),
+        (BfoClass.INFORMATION_CONTENT_ENTITY,),
         "an information content entity",
-        lambda c: True,
+        (BfoClass.CONTINUANT, BfoClass.OCCURRENT),
         "any individual",
     ),
     RelationKind.REALIZED_IN: (
-        lambda c: check_subclass(c, BfoClass.REALIZABLE_ENTITY),
+        (BfoClass.REALIZABLE_ENTITY,),
         "a realizable entity",
-        lambda c: check_subclass(c, BfoClass.PROCESS),
+        (BfoClass.PROCESS,),
         "a process",
     ),
-    RelationKind.TEMPORAL_PART_OF: (
-        lambda c: check_subclass(c, BfoClass.OCCURRENT),
-        "an occurrent",
-        lambda c: check_subclass(c, BfoClass.OCCURRENT),
-        "an occurrent",
-    ),
-    RelationKind.CONCRETIZED_IN: (
-        lambda c: check_subclass(c, BfoClass.GENERICALLY_DEPENDENT_CONTINUANT),
-        "a generically dependent continuant",
-        lambda c: check_subclass(c, BfoClass.SPECIFICALLY_DEPENDENT_CONTINUANT)
-        or check_subclass(c, BfoClass.PROCESS),
-        "a specifically dependent continuant or a process",
-    ),
     RelationKind.CAUSALLY_CORRELATED_WITH: (
-        lambda c: check_subclass(c, BfoClass.QUALITY),
+        (BfoClass.QUALITY,),
         "a quality",
-        lambda c: check_subclass(c, BfoClass.MATERIAL_ENTITY),
+        (BfoClass.MATERIAL_ENTITY,),
         "a material entity",
     ),
 }
@@ -213,27 +187,21 @@ def validate(
             continue
         if rel.kind is RelationKind.IS_ABOUT:
             about_subjects.add(rel.subject)
-        dom_ok, dom_text, rng_ok, rng_text = _CONSTRAINTS[rel.kind]
-        subject_cls = by_id[rel.subject].cls
-        object_cls = by_id[rel.object].cls
-        if not dom_ok(subject_cls):
-            diags.append(
-                Diagnostic(
-                    E_DOMAIN,
-                    f"{rel.kind.value} subject {_quoted(rel.subject)} is "
-                    f"{subject_cls.value}, expected {dom_text}",
-                    record=handle,
+        dom_classes, dom_text, rng_classes, rng_text = _CONSTRAINTS[rel.kind]
+        for role, ref, code, classes, text in (
+            ("subject", rel.subject, E_DOMAIN, dom_classes, dom_text),
+            ("object", rel.object, E_RANGE, rng_classes, rng_text),
+        ):
+            cls = by_id[ref].cls
+            if not any(check_subclass(cls, c) for c in classes):
+                diags.append(
+                    Diagnostic(
+                        code,
+                        f"{rel.kind.value} {role} {_quoted(ref)} is "
+                        f"{cls.value}, expected {text}",
+                        record=handle,
+                    )
                 )
-            )
-        if not rng_ok(object_cls):
-            diags.append(
-                Diagnostic(
-                    E_RANGE,
-                    f"{rel.kind.value} object {_quoted(rel.object)} is "
-                    f"{object_cls.value}, expected {rng_text}",
-                    record=handle,
-                )
-            )
 
     for ind in by_id.values():
         if (

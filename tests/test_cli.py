@@ -126,6 +126,27 @@ class TestCheck:
         assert err == (f"loveline: cannot read {path}: "
                        "not UTF-8 (byte 0xff at offset 22)\n")
 
+    def test_leading_byte_order_mark_is_ignored(self, capsys, tmp_path):
+        path = tmp_path / "bom.love"
+        path.write_bytes(b"\xef\xbb\xbfagent a\nagent b\n")
+        assert run_main("check", str(path), capsys=capsys) == (0, "", "")
+
+    def test_byte_order_mark_does_not_hide_the_header(self, capsys, tmp_path):
+        path = tmp_path / "bom.love"
+        path.write_bytes(b"\xef\xbb\xbf# loveline v2\nagent a\n")
+        code, out, err = run_main("check", str(path), capsys=capsys)
+        assert (code, out) == (1, "")
+        assert err == (f"{path}:1:12: E_SYNTAX: unsupported format version "
+                       "'v2' (expected '# loveline v1')\n")
+
+    def test_non_utf8_offset_counts_the_byte_order_mark(self, capsys, tmp_path):
+        path = tmp_path / "bom.love"
+        path.write_bytes(b"\xef\xbb\xbfab\xff")
+        code, out, err = run_main("check", str(path), capsys=capsys)
+        assert (code, out) == (1, "")
+        assert err == (f"loveline: cannot read {path}: "
+                       "not UTF-8 (byte 0xff at offset 5)\n")
+
     def test_overlong_numeric_literal_is_a_syntax_diagnostic(
         self, capsys, tmp_path
     ):
