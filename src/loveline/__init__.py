@@ -19,7 +19,6 @@ from .intervals import (
     Instant,
     Interval,
     IntervalSet,
-    format_interval_set,
     format_rational,
 )
 from .model import (
@@ -99,7 +98,6 @@ __all__ = [
     "evaluate",
     "explain",
     "export_graph",
-    "format_interval_set",
     "format_rational",
     "inhibition_mask",
     "love_state_at",

@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Callable, Sequence, TextIO, TypeVar
 
 from .diagnostics import LovelineError
-from .intervals import format_interval_set, format_rational
+from .intervals import format_rational
 from .model import QuerySpec, Timeline
 from .parser import DslSyntaxError, parse_document, parse_rational
 from .ontology import export_graph, project_timeline
@@ -155,7 +155,7 @@ def _cmd_eval(timeline: Timeline, fmt: str, out: TextIO) -> int:
 
 
 def _format_set(s) -> str:
-    return format_interval_set(s) or "(empty)"
+    return str(s) or "(empty)"
 
 
 def _cmd_explain(
@@ -250,7 +250,3 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"loveline: {exc}", file=err)
         return 1
     raise AssertionError(f"unhandled command {args.command!r}")
-
-
-if __name__ == "__main__":
-    sys.exit(main())

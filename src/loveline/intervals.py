@@ -70,9 +70,6 @@ class IntervalSet:
     def __post_init__(self) -> None:
         object.__setattr__(self, "intervals", _merge(self.intervals))
 
-    def is_empty(self) -> bool:
-        return not self.intervals
-
     def __bool__(self) -> bool:
         return bool(self.intervals)
 
@@ -83,7 +80,8 @@ class IntervalSet:
         return any(t in iv for iv in self.intervals)
 
     def __str__(self) -> str:
-        return format_interval_set(self)
+        """Render as ``[a,b)+[c,d)``; empty sets render as an empty string."""
+        return "+".join(str(iv) for iv in self.intervals)
 
     def measure(self) -> Fraction:
         """Total length: the sum of ``end - start`` over all members."""
@@ -147,8 +145,3 @@ def _merge(intervals: Iterable[Interval]) -> tuple[Interval, ...]:
         else:
             out.append(iv)
     return tuple(out)
-
-
-def format_interval_set(s: IntervalSet) -> str:
-    """Render as ``[a,b)+[c,d)``; empty sets render as an empty string."""
-    return "+".join(str(iv) for iv in s.intervals)

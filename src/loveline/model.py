@@ -127,7 +127,6 @@ def validate_timeline(timeline: Timeline) -> list[Diagnostic]:
     one) so callers can map them back to source positions.
     """
     diags: list[Diagnostic] = []
-    agents = set()
     declared: dict[str, str] = {}
 
     def declare(record_id: str, kind: str) -> None:
@@ -145,15 +144,23 @@ def validate_timeline(timeline: Timeline) -> list[Diagnostic]:
 
     for name in timeline.agents:
         declare(name, "agent")
-        agents.add(name)
-    sensation_ids = set()
-    for ep in timeline.sensations:
-        declare(ep.id, "sensation")
-        sensation_ids.add(ep.id)
-    for j in timeline.judgments:
-        declare(j.id, "judgment")
-    for inh in timeline.inhibitions:
-        declare(inh.id, "inhibition")
+    agents = set(timeline.agents)
+    sensation_ids = {ep.id for ep in timeline.sensations}
+    for kind, episodes in (
+        ("sensation", timeline.sensations),
+        ("judgment", timeline.judgments),
+        ("inhibition", timeline.inhibitions),
+    ):
+        for record in episodes:
+            declare(record.id, kind)
+            if not record.extent:
+                diags.append(
+                    Diagnostic(
+                        E_EMPTY_INTERVAL,
+                        f"{kind} {_quoted(record.id)} has an empty extent",
+                        record=record.id,
+                    )
+                )
 
     def check_agent(name: str, record: str, role: str) -> None:
         if name not in agents:
@@ -198,14 +205,6 @@ def validate_timeline(timeline: Timeline) -> list[Diagnostic]:
                     record=ep.id,
                 )
             )
-        if ep.extent.is_empty():
-            diags.append(
-                Diagnostic(
-                    E_EMPTY_INTERVAL,
-                    f"sensation {_quoted(ep.id)} has an empty extent",
-                    record=ep.id,
-                )
-            )
 
     for j in timeline.judgments:
         check_agent(j.agent, j.id, "agent")
@@ -218,27 +217,11 @@ def validate_timeline(timeline: Timeline) -> list[Diagnostic]:
                     record=j.id,
                 )
             )
-        if j.extent.is_empty():
-            diags.append(
-                Diagnostic(
-                    E_EMPTY_INTERVAL,
-                    f"judgment {_quoted(j.id)} has an empty extent",
-                    record=j.id,
-                )
-            )
 
     for inh in timeline.inhibitions:
         check_agent(inh.agent, inh.id, "agent")
         if inh.toward is not None:
             check_agent(inh.toward, inh.id, "toward")
-        if inh.extent.is_empty():
-            diags.append(
-                Diagnostic(
-                    E_EMPTY_INTERVAL,
-                    f"inhibition {_quoted(inh.id)} has an empty extent",
-                    record=inh.id,
-                )
-            )
 
     for i, q in enumerate(timeline.queries):
         handle = f"query[{i}]"

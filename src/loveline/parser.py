@@ -45,7 +45,7 @@ from .diagnostics import (
     LovelineError,
     _quoted,
 )
-from .intervals import Interval, IntervalSet, format_interval_set, format_rational
+from .intervals import Interval, IntervalSet, format_rational
 from .model import (
     AcquaintanceRecord,
     Config,
@@ -168,6 +168,9 @@ def _tokenize(line: str) -> list[_Token]:
     return tokens
 
 
+_EXPECTED = {"ident": "an identifier", "number": "a rational"}
+
+
 class _Cursor:
     def __init__(self, tokens: list[_Token]):
         self._tokens = tokens
@@ -179,41 +182,21 @@ class _Cursor:
     def peek(self) -> _Token:
         return self._tokens[self._pos]
 
-    def _next(self, expected: str) -> _Token:
-        if self.at_end():
+    def take(self, kind: str, text: str | None = None) -> _Token:
+        """Consume the next token, which must be of ``kind`` and, if given,
+        spell ``text``."""
+        if self._pos < len(self._tokens):
+            token = self._tokens[self._pos]
+            if token.kind == kind and (text is None or token.text == text):
+                self._pos += 1
+                return token
+            found, column = f", found {_quoted(token.text)}", token.column
+        else:
             last = self._tokens[-1]
-            raise _StatementError(
-                f"expected {expected} at end of statement",
-                last.column + len(last.text),
-            )
-        token = self._tokens[self._pos]
-        self._pos += 1
-        return token
-
-    def ident(self, literal: str | None = None) -> _Token:
-        expected = f"'{literal}'" if literal else "an identifier"
-        token = self._next(expected)
-        if token.kind != "ident" or (literal is not None and token.text != literal):
-            raise _StatementError(
-                f"expected {expected}, found {_quoted(token.text)}", token.column
-            )
-        return token
-
-    def number(self) -> _Token:
-        token = self._next("a rational")
-        if token.kind != "number":
-            raise _StatementError(
-                f"expected a rational, found {_quoted(token.text)}", token.column
-            )
-        return token
-
-    def punct(self, char: str) -> _Token:
-        token = self._next(f"'{char}'")
-        if token.kind != "punct" or token.text != char:
-            raise _StatementError(
-                f"expected '{char}', found {_quoted(token.text)}", token.column
-            )
-        return token
+            found, column = " at end of statement", last.column + len(last.text)
+        # Worded only on failure: take runs once per token.
+        expected = _EXPECTED[kind] if text is None else f"'{text}'"
+        raise _StatementError(f"expected {expected}{found}", column)
 
     def peek_punct(self, char: str) -> bool:
         if self.at_end():
@@ -223,7 +206,7 @@ class _Cursor:
 
 
 def _rational(cur: _Cursor) -> Fraction:
-    token = cur.number()
+    token = cur.take("number")
     try:
         return parse_rational(token.text)
     except DslSyntaxError as exc:
@@ -231,11 +214,11 @@ def _rational(cur: _Cursor) -> Fraction:
 
 
 def _interval(cur: _Cursor) -> Interval:
-    opening = cur.punct("[")
+    opening = cur.take("punct", "[")
     start = _rational(cur)
-    cur.punct(",")
+    cur.take("punct", ",")
     end = _rational(cur)
-    cur.punct(")")
+    cur.take("punct", ")")
     try:
         return Interval(start, end)
     except EmptyIntervalError as exc:
@@ -245,13 +228,13 @@ def _interval(cur: _Cursor) -> Interval:
 def _extent(cur: _Cursor) -> IntervalSet:
     intervals = [_interval(cur)]
     while cur.peek_punct("+"):
-        cur.punct("+")
+        cur.take("punct", "+")
         intervals.append(_interval(cur))
     return IntervalSet(tuple(intervals))
 
 
 def _one_of(cur: _Cursor, options: Iterable[str]) -> str:
-    token = cur.ident()
+    token = cur.take("ident")
     if token.text not in options:
         expected = " or ".join(f"'{option}'" for option in options)
         raise _StatementError(
@@ -271,10 +254,10 @@ class _Kind(NamedTuple):
 _CONFIG_FIELDS = {"threshold": "threshold_default", "min_intensity": "min_intensity"}
 _VALENCES = tuple(valence.value for valence in Valence)
 
-_IDENT = _Kind(lambda cur: cur.ident().text, str)
+_IDENT = _Kind(lambda cur: cur.take("ident").text, str)
 _RATIONAL = _Kind(_rational, format_rational)
 _INTERVAL = _Kind(_interval, str)
-_EXTENT = _Kind(_extent, format_interval_set)
+_EXTENT = _Kind(_extent, str)
 _VALENCE = _Kind(
     lambda cur: Valence(_one_of(cur, _VALENCES)), lambda valence: valence.value
 )
@@ -353,11 +336,11 @@ def _parse_statement(line: str) -> Statement | None:
     if shape is None:
         raise _StatementError(f"unknown directive {_quoted(head.text)}", head.column)
     cur = _Cursor(tokens)
-    cur.ident(head.text)
+    cur.take("ident", head.text)
     values: dict[str, object] = {}
     for part in shape.positional:
         if isinstance(part, str):
-            cur.ident(part)
+            cur.take("ident", part)
         else:
             values[part.name] = part.kind.read(cur)
     # Only a statement with fields reads key=value pairs; in any other a
@@ -365,14 +348,14 @@ def _parse_statement(line: str) -> Statement | None:
     if shape.fields:
         given: dict[str, object] = {}
         while not cur.at_end():
-            key = cur.ident()
+            key = cur.take("ident")
             field = shape.fields.get(key.text)
             if field is None or key.text in given:
                 problem = "unknown" if field is None else "duplicate"
                 raise _StatementError(
                     f"{problem} field {_quoted(key.text)}", key.column
                 )
-            cur.punct("=")
+            cur.take("punct", "=")
             given[key.text] = field.kind.read(cur)
         for name, field in shape.fields.items():
             value = given.get(name, field.default)
@@ -385,29 +368,6 @@ def _parse_statement(line: str) -> Statement | None:
             f"unexpected trailing {_quoted(stray.text)}", stray.column
         )
     return shape.record(**values)
-
-
-def _header_diagnostics(lines: list[str]) -> list[Diagnostic]:
-    """``E_SYNTAX`` if the first non-blank line names a version other than 1.
-
-    The header is optional: any other first line is read as usual.
-    """
-    for line_no, raw in enumerate(lines, start=1):
-        if not raw.strip(" \t"):
-            continue
-        header = _HEADER_RE.match(raw)
-        if header is None or header[1] == "1":
-            return []
-        return [
-            Diagnostic(
-                E_SYNTAX,
-                f"unsupported format version {_quoted('v' + header[1])} "
-                f"(expected '{HEADER}')",
-                line=line_no,
-                column=header.start(1),
-            )
-        ]
-    return []
 
 
 def _build_timeline(
@@ -464,13 +424,28 @@ def _build_timeline(
 
 def parse_document(text: str) -> ParseResult:
     """Parse source text, collecting every diagnostic in one run."""
+    diags: list[Diagnostic] = []
+    parsed: list[tuple[Statement, int, int]] = []
+    seeking_header = True
     # Lines end at LF only (str.splitlines also ends them at U+2028, U+0085,
     # form feed and more); one CR before the LF is dropped.
-    lines = [line.removesuffix("\r") for line in text.split("\n")]
-    diags = _header_diagnostics(lines)
-    statements: list[Statement] = []
-    parsed: list[tuple[Statement, int, int]] = []
-    for line_no, raw in enumerate(lines, start=1):
+    for line_no, raw in enumerate(text.split("\n"), start=1):
+        raw = raw.removesuffix("\r")
+        if seeking_header and raw.strip(" \t"):
+            # Only the first non-blank line can be the header, and it is
+            # optional: any other first line is read as usual.
+            seeking_header = False
+            header = _HEADER_RE.match(raw)
+            if header is not None and header[1] != "1":
+                diags.append(
+                    Diagnostic(
+                        E_SYNTAX,
+                        f"unsupported format version {_quoted('v' + header[1])} "
+                        f"(expected '{HEADER}')",
+                        line=line_no,
+                        column=header.start(1),
+                    )
+                )
         try:
             statement = _parse_statement(raw)
         except _StatementError as exc:
@@ -478,10 +453,8 @@ def parse_document(text: str) -> ParseResult:
                 Diagnostic(exc.code, exc.message, line=line_no, column=exc.column)
             )
             continue
-        if statement is None:
-            continue
-        statements.append(statement)
-        parsed.append((statement, line_no, 1))
+        if statement is not None:
+            parsed.append((statement, line_no, 1))
 
     timeline, positions, dup_diags = _build_timeline(parsed)
     diags.extend(dup_diags)
@@ -499,7 +472,7 @@ def parse_document(text: str) -> ParseResult:
 
     diags.sort(key=lambda d: (d.line or 0, d.column or 0, d.code, d.message))
     return ParseResult(
-        statements=tuple(statements),
+        statements=tuple(statement for statement, _, _ in parsed),
         timeline=timeline if not diags else None,
         diagnostics=tuple(diags),
     )

@@ -11,7 +11,13 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from loveline import export_graph, parse_document, project_timeline
+from loveline import (
+    IntervalSet,
+    Verdict,
+    export_graph,
+    parse_document,
+    project_timeline,
+)
 from loveline.cli import main
 
 from conftest import FIXTURE_DIR
@@ -270,6 +276,22 @@ class TestOracle:
         assert (code, out) == (1, "")
         assert err.startswith("loveline: E_GRANULARITY: ")
         assert "above the cap" in err
+
+    def test_mismatch_is_reported_on_stdout(self, capsys, monkeypatch):
+        # A deliberately wrong oracle: the evaluator says FAILS s=4 c=6.
+        monkeypatch.setattr(
+            "loveline.cli.tick_oracle",
+            lambda *args: Verdict(True, 5, 5, 1, IntervalSet()),
+        )
+        code, out, err = run_main(
+            "oracle", fx("timeline_a.love"), "--granularity", "1",
+            capsys=capsys,
+        )
+        assert (code, err) == (1, "")
+        assert out == (
+            "mismatch loves(sally,john) over [0,10) T=1: FAILS s=4 c=6 "
+            "!= oracle HOLDS s=5 c=5\n"
+        )
 
 
 def too_long_result(tmp_path) -> str:

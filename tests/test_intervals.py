@@ -11,7 +11,6 @@ from loveline import (
     EmptyIntervalError,
     Interval,
     IntervalSet,
-    format_interval_set,
     format_rational,
 )
 
@@ -237,6 +236,6 @@ class TestFormatting:
         assert format_rational(F(-5, 3)) == "-5/3"
 
     def test_format_interval_set(self):
-        assert format_interval_set(iset((0, 2), (4, 6))) == "[0,2)+[4,6)"
-        assert format_interval_set(IntervalSet()) == ""
+        assert str(iset((0, 2), (4, 6))) == "[0,2)+[4,6)"
+        assert str(IntervalSet()) == ""
         assert str(iset((0, 2))) == "[0,2)"

@@ -184,6 +184,18 @@ class TestValidateTimeline:
         )
         assert codes(validate_timeline(tl)) == ["E_EMPTY_INTERVAL"] * 3
 
+    def test_duplicate_with_empty_extent_reports_both(self):
+        tl = Timeline(
+            agents=("a", "b"),
+            judgments=(
+                ValueJudgment("j", "a", "b", ext(0, 1)),
+                ValueJudgment("j", "a", "b", IntervalSet()),
+            ),
+        )
+        diags = validate_timeline(tl)
+        assert codes(diags) == ["E_DUP_ID", "E_EMPTY_INTERVAL"]
+        assert {d.record for d in diags} == {"j"}
+
     def test_nonpositive_thresholds(self):
         tl = Timeline(
             agents=("a", "b"),

@@ -229,6 +229,8 @@ class TestHeader:
             " \n\t\n  # loveline v1\nagent a\n",
             "# loveline v2 draft\nagent a\n",
             "agent a\n# loveline v2\n",
+            # Only the first non-blank line is the header, even if a comment.
+            "# note\n# loveline v2\nagent a\n",
         ],
     )
     def test_v1_other_comments_and_no_header_are_accepted(self, text):
@@ -474,6 +476,10 @@ class TestSerialize:
         assert serialize_document(stmts) == (
             HEADER + "\nagent a\nset threshold 1/2\n"
         )
+
+    def test_non_statement_is_a_type_error(self):
+        with pytest.raises(TypeError, match="^not a statement"):
+            serialize_document([object()])
 
 
 # Grammar-built statements as token lists, with ``key=value`` fields in any
