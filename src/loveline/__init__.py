@@ -52,6 +52,7 @@ from .parser import (
     serialize_document,
 )
 from .semantics import (
+    PairSignals,
     Trace,
     Verdict,
     acquaintance_onset,
@@ -79,6 +80,7 @@ __all__ = [
     "IntervalSet",
     "LovelineError",
     "OntologyGraph",
+    "PairSignals",
     "ParseResult",
     "QuerySpec",
     "RelationAssertion",

@@ -49,9 +49,12 @@ def _guarded(n: int, step: Callable[[], _T]) -> _T:
 
 def _granularity(text: str) -> Fraction:
     try:
-        return parse_rational(text)
+        value = parse_rational(text)
     except DslSyntaxError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
+    if value <= 0:
+        raise argparse.ArgumentTypeError("granularity R must be positive")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -178,18 +181,19 @@ def _cmd_explain(
 
 
 def _trace_text(query: QuerySpec, trace: Trace) -> str:
+    signals = trace.signals
     onset = (
         "(none)"
-        if trace.acquaintance_onset is None
-        else format_rational(trace.acquaintance_onset)
+        if signals.acquaintance_onset is None
+        else format_rational(signals.acquaintance_onset)
     )
     lines = (
         _query_line(query, trace.verdict),
-        f"condition (i):          {_format_set(trace.condition_i)}",
-        f"condition (ii) derived: {_format_set(trace.condition_ii_derived)}",
-        f"condition (ii) direct:  {_format_set(trace.condition_ii_direct)}",
+        f"condition (i):          {_format_set(signals.condition_i)}",
+        f"condition (ii) derived: {_format_set(signals.condition_ii_derived)}",
+        f"condition (ii) direct:  {_format_set(signals.condition_ii_direct)}",
         f"acquaintance onset:     {onset}",
-        f"inhibition mask:        {_format_set(trace.inhibition_mask)}",
+        f"inhibition mask:        {_format_set(signals.inhibition_mask)}",
         f"love events:            {_format_set(trace.verdict.love_events)}",
         f"first failure:          {trace.first_failure or '(none)'}",
     )

@@ -47,9 +47,8 @@ class Verdict:
     love_events: IntervalSet
 
 
-@dataclass(frozen=True)
-class Trace:
-    """Full evaluation signals, for explanations.
+class PairSignals(NamedTuple):
+    """Every signal of one pair over all time, computed once.
 
     ``condition_i`` and the two ``condition_ii`` parts are unrestricted by
     the query window (the parts are already acquaintance-clipped and
@@ -58,24 +57,22 @@ class Trace:
     """
 
     condition_i: IntervalSet
-    condition_ii_direct: IntervalSet
     condition_ii_derived: IntervalSet
+    condition_ii_direct: IntervalSet
     acquaintance_onset: Fraction | None
     inhibition_mask: IntervalSet
-    first_failure: str | None
-    verdict: Verdict
-
-
-class _PairSignals(NamedTuple):
-    """Every signal of one pair over all time, computed once."""
-
-    condition_i: IntervalSet
-    derived: IntervalSet
-    direct: IntervalSet
-    onset: Fraction | None
-    mask: IntervalSet
     # condition (i) ∩ (derived ∪ direct): the love events before windowing.
     love: IntervalSet
+
+
+@dataclass(frozen=True)
+class Trace:
+    """The signals behind one verdict, for explanations: ``signals`` is the
+    pair's cached :class:`PairSignals` record itself."""
+
+    signals: PairSignals
+    first_failure: str | None
+    verdict: Verdict
 
 
 class _PairIndex:
@@ -83,24 +80,22 @@ class _PairIndex:
 
     Built in one pass on first use and kept on the timeline (see
     :func:`_index_of`), so every signal below reads only its own pair's
-    records. ``signals`` caches each pair's :class:`_PairSignals`, keyed by
+    records. ``signals`` caches each pair's :class:`PairSignals`, keyed by
     ``(subject, object)``.
     """
 
-    __slots__ = ("sensations", "judgments", "inhibit_all", "inhibit_toward",
-                 "onset", "signals")
+    __slots__ = ("sensations", "judgments", "inhibit", "onset", "signals")
 
     def __init__(self, timeline: Timeline) -> None:
         # Positive sensations by (bearer, correlate).
         self.sensations: dict[tuple[str, str], list[SensationEpisode]] = {}
         # Judgment extents by (agent, target).
         self.judgments: dict[tuple[str, str], list[IntervalSet]] = {}
-        # Inhibition extents: untargeted by agent, targeted by (agent, toward).
-        self.inhibit_all: dict[str, list[IntervalSet]] = {}
-        self.inhibit_toward: dict[tuple[str, str], list[IntervalSet]] = {}
+        # Inhibition extents by (agent, toward); toward is None when untargeted.
+        self.inhibit: dict[tuple[str, str | None], list[IntervalSet]] = {}
         # Earliest acquaintance by (subject, object).
         self.onset: dict[tuple[str, str], Fraction] = {}
-        self.signals: dict[tuple[str, str], _PairSignals] = {}
+        self.signals: dict[tuple[str, str], PairSignals] = {}
         for ep in timeline.sensations:
             if ep.valence is Valence.POSITIVE:
                 pair = (ep.bearer, ep.correlate)
@@ -108,11 +103,8 @@ class _PairIndex:
         for j in timeline.judgments:
             self.judgments.setdefault((j.agent, j.target), []).append(j.extent)
         for inh in timeline.inhibitions:
-            if inh.toward is None:
-                self.inhibit_all.setdefault(inh.agent, []).append(inh.extent)
-            else:
-                pair = (inh.agent, inh.toward)
-                self.inhibit_toward.setdefault(pair, []).append(inh.extent)
+            pair = (inh.agent, inh.toward)
+            self.inhibit.setdefault(pair, []).append(inh.extent)
         for rec in timeline.acquaintances:
             pair = (rec.subject, rec.object)
             if pair not in self.onset or rec.at < self.onset[pair]:
@@ -134,15 +126,15 @@ def _merged(parts: Iterable[IntervalSet]) -> IntervalSet:
     return IntervalSet(tuple(iv for part in parts for iv in part))
 
 
-def _signals_of(subject: str, object_: str, timeline: Timeline) -> _PairSignals:
+def _signals_of(subject: str, object_: str, timeline: Timeline) -> PairSignals:
     """One pair's signals, built from the index on first use and cached;
     the public functions below say what each one means."""
     index, pair = _index_of(timeline), (subject, object_)
     signals = index.signals.get(pair)
     if signals is not None:
         return signals
-    mask = _merged((*index.inhibit_all.get(subject, ()),
-                    *index.inhibit_toward.get(pair, ())))
+    mask = _merged((*index.inhibit.get((subject, None), ()),
+                    *index.inhibit.get(pair, ())))
     floor = timeline.config.min_intensity
     episodes = index.sensations.get(pair, ())
     cond_i = _merged(ep.extent for ep in episodes
@@ -159,7 +151,7 @@ def _signals_of(subject: str, object_: str, timeline: Timeline) -> _PairSignals:
         direct = _merged(index.judgments.get(pair, ()))
         direct = direct.clip_from(onset).difference(mask)
         love = cond_i.intersect(derived.union(direct))
-    signals = _PairSignals(cond_i, derived, direct, onset, mask, love)
+    signals = PairSignals(cond_i, derived, direct, onset, mask, love)
     index.signals[pair] = signals
     return signals
 
@@ -170,7 +162,7 @@ def inhibition_mask(subject: str, object_: str, timeline: Timeline) -> IntervalS
     An episode applies when its agent is ``subject`` and it is either
     untargeted or aimed at ``object_``.
     """
-    return _signals_of(subject, object_, timeline).mask
+    return _signals_of(subject, object_, timeline).inhibition_mask
 
 
 def condition_i_signal(
@@ -189,7 +181,7 @@ def acquaintance_onset(
     subject: str, object_: str, timeline: Timeline
 ) -> Fraction | None:
     """Earliest instant at which ``subject`` met ``object_``, if ever."""
-    return _signals_of(subject, object_, timeline).onset
+    return _signals_of(subject, object_, timeline).acquaintance_onset
 
 
 def condition_ii_components(
@@ -209,7 +201,7 @@ def condition_ii_components(
     inhibition mask; without acquaintance both are empty.
     """
     signals = _signals_of(subject, object_, timeline)
-    return signals.derived, signals.direct
+    return signals.condition_ii_derived, signals.condition_ii_direct
 
 
 def _check_threshold(threshold: Fraction) -> None:
@@ -227,20 +219,6 @@ def _decide(s: Fraction, c: Fraction, threshold: Fraction) -> bool:
     return threshold < s / c
 
 
-def _verdict(
-    events: IntervalSet, interval: Interval, threshold: Fraction
-) -> Verdict:
-    s = events.measure()
-    c = interval.measure - s
-    return Verdict(
-        holds=_decide(s, c, threshold),
-        s=s,
-        c=c,
-        threshold=Fraction(threshold),
-        love_events=events,
-    )
-
-
 def evaluate(
     subject: str,
     object_: str,
@@ -256,7 +234,16 @@ def evaluate(
     """
     _check_threshold(threshold)
     love = _signals_of(subject, object_, timeline).love
-    return _verdict(IntervalSet((interval,)).intersect(love), interval, threshold)
+    events = IntervalSet((interval,)).intersect(love)
+    s = events.measure()
+    c = interval.measure - s
+    return Verdict(
+        holds=_decide(s, c, threshold),
+        s=s,
+        c=c,
+        threshold=Fraction(threshold),
+        love_events=events,
+    )
 
 
 def love_state_at(
@@ -299,27 +286,18 @@ def explain(
     """
     verdict = evaluate(subject, object_, interval, threshold, timeline)
     signals = _signals_of(subject, object_, timeline)
-    if signals.onset is None:
+    if signals.acquaintance_onset is None:
         failure = "no acquaintance"
     elif not _meets(signals.condition_i, interval):
         failure = "condition (i) empty"
-    elif not (_meets(signals.derived, interval)
-              or _meets(signals.direct, interval)):
+    elif not (_meets(signals.condition_ii_derived, interval)
+              or _meets(signals.condition_ii_direct, interval)):
         failure = "condition (ii) empty"
     elif not verdict.holds:
         failure = "ratio below threshold"
     else:
         failure = None
-
-    return Trace(
-        condition_i=signals.condition_i,
-        condition_ii_direct=signals.direct,
-        condition_ii_derived=signals.derived,
-        acquaintance_onset=signals.onset,
-        inhibition_mask=signals.mask,
-        first_failure=failure,
-        verdict=verdict,
-    )
+    return Trace(signals, failure, verdict)
 
 
 # Most ticks :func:`tick_oracle` walks for one query: each tick scans every

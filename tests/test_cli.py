@@ -412,6 +412,18 @@ class TestUsageErrors:
         assert exc.value.code == 2
         assert "malformed rational" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["0", "-1", "-1/2"])
+    @pytest.mark.parametrize("queries", [True, False])
+    def test_non_positive_granularity(self, value, queries, tmp_path, capsys):
+        # Rejected before the file is read, whether or not it has queries.
+        path = tmp_path / "no_queries.love"
+        path.write_text("agent sally\nagent john\n", encoding="utf-8")
+        target = fx("timeline_a.love") if queries else str(path)
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle", target, f"--granularity={value}"])
+        assert exc.value.code == 2
+        assert "granularity R must be positive" in capsys.readouterr().err
+
 
 class TestModuleEntryPoint:
     def test_python_dash_m(self, capsys):

@@ -15,9 +15,11 @@ from loveline import (
     InhibitionEpisode,
     Interval,
     IntervalSet,
+    PairSignals,
     SensationEpisode,
     ThresholdError,
     Timeline,
+    Trace,
     Valence,
     ValueJudgment,
     acquaintance_onset,
@@ -269,7 +271,7 @@ class TestExplain:
     def test_no_acquaintance(self, timeline_b):
         trace = explain("sally", "john", WINDOW, F(1), timeline_b)
         assert trace.first_failure == "no acquaintance"
-        assert trace.acquaintance_onset is None
+        assert trace.signals.acquaintance_onset is None
 
     def test_ratio_below_threshold(self, timeline_a):
         trace = explain("sally", "john", WINDOW, F(1), timeline_a)
@@ -296,16 +298,26 @@ class TestExplain:
         )
         trace = explain("sally", "john", WINDOW, F(1), tl)
         verdict = evaluate("sally", "john", WINDOW, F(1), tl)
-        rebuilt = trace.condition_i.intersect(
-            trace.condition_ii_derived.union(trace.condition_ii_direct)
+        signals = trace.signals
+        rebuilt = signals.condition_i.intersect(
+            signals.condition_ii_derived.union(signals.condition_ii_direct)
         ).intersect(IntervalSet((WINDOW,)))
         assert rebuilt == verdict.love_events
 
     def test_trace_carries_full_signals(self, timeline_a):
         trace = explain("sally", "john", Interval(F(0), F(3)), F(1), timeline_a)
-        assert trace.condition_i == iset((2, 8))
-        assert trace.condition_ii_derived == iset((3, 7))
-        assert trace.inhibition_mask == IntervalSet()
+        assert trace.signals.condition_i == iset((2, 8))
+        assert trace.signals.condition_ii_derived == iset((3, 7))
+        assert trace.signals.inhibition_mask == IntervalSet()
+
+    def test_trace_holds_the_cached_pair_record(self, timeline_a):
+        trace = explain("sally", "john", Interval(F(0), F(3)), F(1), timeline_a)
+        assert [f.name for f in dataclasses.fields(Trace)] == [
+            "signals", "first_failure", "verdict"]
+        assert isinstance(trace.signals, PairSignals)
+        # The love base is unwindowed; the verdict keeps the window's part.
+        assert trace.signals.love == iset((3, 7))
+        assert trace.verdict.love_events == IntervalSet()
 
 
 class TestPairCache:
@@ -376,16 +388,15 @@ class TestPairCache:
                 record = tl._pair_index.signals[q.subject, q.object]
                 derived, direct = condition_ii_components(
                     q.subject, q.object, tl)
-                assert trace.condition_i is record.condition_i
-                assert trace.condition_ii_derived is record.derived is derived
-                assert trace.condition_ii_direct is record.direct is direct
-                assert trace.acquaintance_onset is record.onset
-                assert trace.inhibition_mask is record.mask
+                assert trace.signals is record
+                assert record.condition_ii_derived is derived
+                assert record.condition_ii_direct is direct
                 assert (condition_i_signal(q.subject, q.object, tl)
                         is record.condition_i)
-                assert inhibition_mask(q.subject, q.object, tl) is record.mask
+                assert (inhibition_mask(q.subject, q.object, tl)
+                        is record.inhibition_mask)
                 assert (acquaintance_onset(q.subject, q.object, tl)
-                        is record.onset)
+                        is record.acquaintance_onset)
                 seen += 1
             assert set(tl._pair_index.signals) == {
                 (q.subject, q.object) for q in tl.queries}
@@ -447,8 +458,9 @@ class TestTickOracle:
 # built from.
 PRODUCTION_NAMES = frozenset({
     "_index_of", "_PairIndex", "_pair_index", "_merged", "_signals_of",
-    "_PairSignals", "signals", "_meets", "evaluate", "condition_i_signal",
-    "condition_ii_components", "inhibition_mask", "acquaintance_onset",
+    "PairSignals", "signals", "inhibit", "_meets", "evaluate",
+    "condition_i_signal", "condition_ii_components", "inhibition_mask",
+    "acquaintance_onset",
     "union", "intersect", "difference", "clip_from",
 })
 
