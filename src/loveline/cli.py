@@ -6,16 +6,17 @@ text or JSON), ``explain`` (signal trace for one query), ``export-bfo``
 evaluator against the brute-force tick oracle).
 
 Exit codes: 0 success; 1 verdict-level failure (diagnostics present,
-unreadable file, a result too long to print, oracle mismatch); 2 usage
-error. Query results go to stdout, diagnostics and errors to stderr.
-Output is byte-deterministic for identical inputs.
+unreadable file, a result too long to print, query index out of range,
+oracle mismatch or ``E_GRANULARITY``); 2 usage error. Query results go to
+stdout, diagnostics and errors to stderr. Output is byte-deterministic for
+identical inputs.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
+from argparse import ArgumentParser, ArgumentTypeError, Namespace
 from fractions import Fraction
 from typing import Callable, Sequence, TextIO, TypeVar
 
@@ -29,19 +30,19 @@ from .semantics import Trace, Verdict, evaluate, explain, tick_oracle
 _T = TypeVar("_T")
 
 
-class _Unprintable(Exception):
-    """A query whose exact result has too many digits to print."""
+class _Failure(Exception):
+    """Exit 1 with this one line on stderr and nothing on stdout."""
 
 
 def _guarded(n: int, step: Callable[[], _T]) -> _T:
-    """Run query ``n``'s ``step``, raising :class:`_Unprintable` when it
+    """Run query ``n``'s ``step``, raising :class:`_Failure` when it
     hits Python's int/str conversion limit (sys.get_int_max_str_digits):
     an exact ``s``, ``c`` or oracle tick count can have more digits than
     any literal in the input."""
     try:
         return step()
     except ValueError:
-        raise _Unprintable(
+        raise _Failure(
             f"query {n}: a result has more than "
             f"{sys.get_int_max_str_digits()} digits, too many to print"
         ) from None
@@ -51,14 +52,15 @@ def _granularity(text: str) -> Fraction:
     try:
         value = parse_rational(text)
     except DslSyntaxError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+        raise ArgumentTypeError(str(exc)) from None
     if value <= 0:
-        raise argparse.ArgumentTypeError("granularity R must be positive")
+        raise ArgumentTypeError("granularity R must be positive")
     return value
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+def _build_parser() -> ArgumentParser:
+    """Each subcommand binds ``run(timeline, args) -> (status, stdout)``."""
+    parser = ArgumentParser(
         prog="loveline",
         description="Evaluate loves(S,P) queries over declarative timelines.",
     )
@@ -66,25 +68,31 @@ def _build_parser() -> argparse.ArgumentParser:
 
     check = sub.add_parser("check", help="parse and validate a timeline file")
     check.add_argument("file")
+    check.set_defaults(run=lambda timeline, args: (0, ""))
 
     ev = sub.add_parser("eval", help="evaluate every query in a timeline file")
     ev.add_argument("file")
     ev.add_argument("--format", choices=("text", "json"), default="text")
+    ev.set_defaults(run=_cmd_eval)
 
     ex = sub.add_parser("explain", help="print the signal trace for one query")
     ex.add_argument("file")
     ex.add_argument("--query", type=int, required=True, metavar="N",
                     help="1-based query index")
+    ex.set_defaults(run=_cmd_explain)
 
     bfo = sub.add_parser("export-bfo", help="project the timeline to an "
                          "ontology graph and print it")
     bfo.add_argument("file")
+    bfo.set_defaults(run=lambda timeline, args: (
+        0, export_graph(project_timeline(timeline))))
 
     orc = sub.add_parser("oracle", help="cross-check evaluate against the "
                          "tick oracle for every query")
     orc.add_argument("file")
     orc.add_argument("--granularity", type=_granularity, required=True,
                      metavar="R", help="tick width (rational)")
+    orc.set_defaults(run=_cmd_oracle)
 
     return parser
 
@@ -112,18 +120,24 @@ def _load(path: str, err: TextIO) -> Timeline | None:
     return result.timeline
 
 
-def _threshold_of(query: QuerySpec, timeline: Timeline) -> Fraction:
-    if query.threshold is not None:
-        return query.threshold
-    return timeline.config.threshold_default
+def _asked(query: QuerySpec, timeline: Timeline) -> tuple:
+    """The leading arguments of ``evaluate``, ``explain`` and ``tick_oracle``;
+    a query without its own threshold takes the file's default."""
+    threshold = query.threshold
+    if threshold is None:
+        threshold = timeline.config.threshold_default
+    return query.subject, query.object, query.interval, threshold, timeline
+
+
+def _outcome(verdict: Verdict) -> str:
+    word = "HOLDS" if verdict.holds else "FAILS"
+    return f"{word} s={format_rational(verdict.s)} c={format_rational(verdict.c)}"
 
 
 def _query_line(query: QuerySpec, verdict: Verdict) -> str:
-    word = "HOLDS" if verdict.holds else "FAILS"
     return (
         f"loves({query.subject},{query.object}) over {query.interval} "
-        f"T={format_rational(verdict.threshold)}: {word} "
-        f"s={format_rational(verdict.s)} c={format_rational(verdict.c)}"
+        f"T={format_rational(verdict.threshold)}: {_outcome(verdict)}"
     )
 
 
@@ -140,44 +154,30 @@ def _query_record(query: QuerySpec, verdict: Verdict) -> dict:
     }
 
 
-def _cmd_eval(timeline: Timeline, fmt: str, out: TextIO) -> int:
-    render = _query_line if fmt == "text" else _query_record
+def _cmd_eval(timeline: Timeline, args: Namespace) -> tuple[int, str]:
+    render = _query_line if args.format == "text" else _query_record
     results = []
     for n, query in enumerate(timeline.queries, start=1):
-        threshold = _threshold_of(query, timeline)
-        verdict = evaluate(
-            query.subject, query.object, query.interval, threshold, timeline
-        )
+        verdict = evaluate(*_asked(query, timeline))
         results.append(_guarded(n, lambda: render(query, verdict)))
-    # Rendered in full before any is written, so a failure prints nothing.
-    if fmt == "text":
-        out.write("".join(line + "\n" for line in results))
-    else:
-        print(json.dumps(results, indent=2), file=out)
-    return 0
+    if args.format == "text":
+        return 0, "".join(line + "\n" for line in results)
+    return 0, json.dumps(results, indent=2) + "\n"
 
 
 def _format_set(s) -> str:
     return str(s) or "(empty)"
 
 
-def _cmd_explain(
-    timeline: Timeline, index: int, out: TextIO, err: TextIO
-) -> int:
-    if not 1 <= index <= len(timeline.queries):
-        print(
-            f"loveline: query index {index} out of range "
-            f"(file has {len(timeline.queries)} queries)",
-            file=err,
+def _cmd_explain(timeline: Timeline, args: Namespace) -> tuple[int, str]:
+    if not 1 <= args.query <= len(timeline.queries):
+        raise _Failure(
+            f"query index {args.query} out of range "
+            f"(file has {len(timeline.queries)} queries)"
         )
-        return 1
-    query = timeline.queries[index - 1]
-    threshold = _threshold_of(query, timeline)
-    trace = explain(
-        query.subject, query.object, query.interval, threshold, timeline
-    )
-    out.write(_guarded(index, lambda: _trace_text(query, trace)))
-    return 0
+    query = timeline.queries[args.query - 1]
+    trace = explain(*_asked(query, timeline))
+    return 0, _guarded(args.query, lambda: _trace_text(query, trace))
 
 
 def _trace_text(query: QuerySpec, trace: Trace) -> str:
@@ -200,57 +200,34 @@ def _trace_text(query: QuerySpec, trace: Trace) -> str:
     return "".join(line + "\n" for line in lines)
 
 
-def _cmd_export(timeline: Timeline, out: TextIO) -> int:
-    out.write(export_graph(project_timeline(timeline)))
-    return 0
-
-
-def _cmd_oracle(
-    timeline: Timeline, granularity: Fraction, out: TextIO, err: TextIO
-) -> int:
-    status = 0
+def _cmd_oracle(timeline: Timeline, args: Namespace) -> tuple[int, str]:
+    mismatches = []
     for n, query in enumerate(timeline.queries, start=1):
-        threshold = _threshold_of(query, timeline)
-        fast = evaluate(
-            query.subject, query.object, query.interval, threshold, timeline
-        )
+        asked = _asked(query, timeline)
+        fast = evaluate(*asked)
         try:
-            slow = _guarded(n, lambda: tick_oracle(
-                query.subject, query.object, query.interval, threshold,
-                timeline, granularity,
-            ))
+            slow = _guarded(n, lambda: tick_oracle(*asked, args.granularity))
         except LovelineError as exc:
-            print(f"loveline: {exc.code}: {exc}", file=err)
-            return 1
+            raise _Failure(f"{exc.code}: {exc}") from None
         if (fast.holds, fast.s, fast.c) != (slow.holds, slow.s, slow.c):
-            status = 1
-            print(
+            mismatches.append(
                 f"mismatch {_query_line(query, fast)} "
-                f"!= oracle {'HOLDS' if slow.holds else 'FAILS'} "
-                f"s={format_rational(slow.s)} c={format_rational(slow.c)}",
-                file=out,
+                f"!= oracle {_outcome(slow)}\n"
             )
-    return status
+    return (1 if mismatches else 0), "".join(mismatches)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    out, err = sys.stdout, sys.stderr
-    timeline = _load(args.file, err)
+    # The streams are looked up per call, so a caller's redirect holds.
+    timeline = _load(args.file, sys.stderr)
     if timeline is None:
         return 1
     try:
-        if args.command == "check":
-            return 0
-        if args.command == "eval":
-            return _cmd_eval(timeline, args.format, out)
-        if args.command == "explain":
-            return _cmd_explain(timeline, args.query, out, err)
-        if args.command == "export-bfo":
-            return _cmd_export(timeline, out)
-        if args.command == "oracle":
-            return _cmd_oracle(timeline, args.granularity, out, err)
-    except _Unprintable as exc:
-        print(f"loveline: {exc}", file=err)
+        status, text = args.run(timeline, args)
+    except _Failure as exc:
+        print(f"loveline: {exc}", file=sys.stderr)
         return 1
-    raise AssertionError(f"unhandled command {args.command!r}")
+    # Rendered in full before any is written, so a failure prints nothing.
+    sys.stdout.write(text)
+    return status

@@ -118,6 +118,16 @@ class Timeline:
     )
 
 
+def _duplicate_id(record_id: str, first: str, **where) -> Diagnostic:
+    """E_DUP_ID for ``record_id``; ``where`` is the repeat's line and column."""
+    return Diagnostic(
+        E_DUP_ID,
+        f"duplicate id {_quoted(record_id)} (already declared as {first})",
+        record=record_id,
+        **where,
+    )
+
+
 def validate_timeline(timeline: Timeline) -> list[Diagnostic]:
     """Check referential integrity and value invariants.
 
@@ -131,14 +141,7 @@ def validate_timeline(timeline: Timeline) -> list[Diagnostic]:
 
     def declare(record_id: str, kind: str) -> None:
         if record_id in declared:
-            diags.append(
-                Diagnostic(
-                    E_DUP_ID,
-                    f"duplicate id {_quoted(record_id)} (already declared as "
-                    f"{declared[record_id]})",
-                    record=record_id,
-                )
-            )
+            diags.append(_duplicate_id(record_id, declared[record_id]))
         else:
             declared[record_id] = kind
 

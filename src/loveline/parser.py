@@ -32,13 +32,12 @@ reparses to an identical statement sequence.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple, Sequence, Union
 
 from .diagnostics import (
     Diagnostic,
-    E_DUP_ID,
     E_EMPTY_INTERVAL,
     E_SYNTAX,
     EmptyIntervalError,
@@ -55,6 +54,7 @@ from .model import (
     Timeline,
     Valence,
     ValueJudgment,
+    _duplicate_id,
     validate_timeline,
 )
 
@@ -395,16 +395,9 @@ def _build_timeline(
             # ambiguity; the first declaration wins, later ones error.
             record_id = statement.name if head == "agent" else statement.id
             if record_id in declared:
-                diags.append(
-                    Diagnostic(
-                        E_DUP_ID,
-                        f"duplicate id {_quoted(record_id)} (already declared as "
-                        f"{declared[record_id]})",
-                        line=line,
-                        column=column,
-                        record=record_id,
-                    )
-                )
+                diags.append(_duplicate_id(
+                    record_id, declared[record_id], line=line, column=column
+                ))
                 continue
             declared[record_id] = head
             positions[record_id] = (line, column)
@@ -459,16 +452,8 @@ def parse_document(text: str) -> ParseResult:
     timeline, positions, dup_diags = _build_timeline(parsed)
     diags.extend(dup_diags)
     for diag in validate_timeline(timeline):
-        where = positions.get(diag.record or "")
-        diags.append(
-            Diagnostic(
-                diag.code,
-                diag.message,
-                line=where[0] if where else None,
-                column=where[1] if where else None,
-                record=diag.record,
-            )
-        )
+        line, column = positions.get(diag.record or "", (None, None))
+        diags.append(replace(diag, line=line, column=column))
 
     diags.sort(key=lambda d: (d.line or 0, d.column or 0, d.code, d.message))
     return ParseResult(

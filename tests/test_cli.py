@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from loveline import (
+    GranularityError,
     IntervalSet,
     Verdict,
     export_graph,
@@ -230,6 +231,15 @@ class TestExplain:
         assert out == ""
         assert "out of range" in err
 
+    def test_out_of_range_is_one_stderr_line_and_no_stdout(self, capsys):
+        code, out, err = run_main(
+            "explain", fx("timeline_a.love"), "--query", "99", capsys=capsys
+        )
+        assert (code, out) == (1, "")
+        assert err == (
+            "loveline: query index 99 out of range (file has 1 queries)\n"
+        )
+
 
 class TestExportBfo:
     def test_matches_library_export(self, capsys):
@@ -291,6 +301,29 @@ class TestOracle:
         assert out == (
             "mismatch loves(sally,john) over [0,10) T=1: FAILS s=4 c=6 "
             "!= oracle HOLDS s=5 c=5\n"
+        )
+
+    def test_failure_after_a_mismatch_prints_nothing_on_stdout(
+        self, capsys, monkeypatch
+    ):
+        # Query 1 mismatches; query 2 then fails, so the run writes no
+        # mismatch line, only the failure.
+        calls = []
+
+        def oracle(*args):
+            calls.append(args)
+            if len(calls) == 1:
+                return Verdict(True, 5, 5, 1, IntervalSet())
+            raise GranularityError("granularity 1 does not divide endpoint 1/2")
+
+        monkeypatch.setattr("loveline.cli.tick_oracle", oracle)
+        code, out, err = run_main(
+            "oracle", fx("mixed.love"), "--granularity", "1", capsys=capsys,
+        )
+        assert (code, out, len(calls)) == (1, "", 2)
+        assert err == (
+            "loveline: E_GRANULARITY: granularity 1 does not divide "
+            "endpoint 1/2\n"
         )
 
 
@@ -423,6 +456,19 @@ class TestUsageErrors:
             main(["oracle", target, f"--granularity={value}"])
         assert exc.value.code == 2
         assert "granularity R must be positive" in capsys.readouterr().err
+
+    def test_negative_fraction_is_read_as_a_value_after_equals(self, capsys):
+        # argparse takes a separate "-1/2" for a flag, not for R's value,
+        # and words that error itself; after "=" it is R. Both exit 2.
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle", fx("timeline_a.love"), "--granularity=-1/2"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            "argument --granularity: granularity R must be positive\n"
+        )
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle", fx("timeline_a.love"), "--granularity", "-1/2"])
+        assert exc.value.code == 2
 
 
 class TestModuleEntryPoint:
