@@ -37,8 +37,11 @@ class Interval:
     end: Fraction
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "start", Fraction(self.start))
-        object.__setattr__(self, "end", Fraction(self.end))
+        # Wrap ints and Fraction subclasses; a Fraction is kept as given.
+        if type(self.start) is not Fraction:
+            object.__setattr__(self, "start", Fraction(self.start))
+        if type(self.end) is not Fraction:
+            object.__setattr__(self, "end", Fraction(self.end))
         if self.start >= self.end:
             raise EmptyIntervalError(
                 f"interval [{format_rational(self.start)},"

@@ -22,6 +22,17 @@ head word it gives the record class, the positional part and the
 ``key=value`` fields in canonical order with their defaults. Reading a
 statement, building the timeline and writing canonical text all walk it.
 
+Each line is read one of two ways, with the same result:
+
+* a well-formed line with its fields in canonical order takes the fast
+  path when it starts with its head word and has blanks only between
+  words (none around ``=`` or inside an extent): one regex per head word,
+  compiled from :data:`_GRAMMAR`, matches the whole line;
+* every other line (fields out of order, other spacing, or any defect)
+  takes the token-by-token reader, :func:`_parse_statement`;
+* diagnostics come only from that reader: a line the fast path cannot
+  match or convert is handed to it unchanged.
+
 Parsing is two-pass: statements are collected first, then identifier
 references are resolved, so declarations need not precede uses. All
 diagnostics for a document are collected in one run rather than stopping
@@ -243,25 +254,64 @@ def _one_of(cur: _Cursor, options: Iterable[str]) -> str:
     return token.text
 
 
+def _load_rational(text: str) -> Fraction:
+    """The fast path's reader of a ``_NUMBER`` match: ``int()`` for
+    integers and fractions, ``Fraction(text)`` for decimals."""
+    numerator, _, denominator = text.partition("/")
+    try:
+        if denominator:
+            return Fraction(int(numerator), int(denominator))
+        if "." in text:
+            return Fraction(text)
+        return Fraction(int(text))
+    except (ValueError, ZeroDivisionError):
+        # A zero denominator, or more digits than int() converts.
+        raise DslSyntaxError(f"unreadable rational {_quoted(text)}") from None
+
+
+def _load_interval(inner: str) -> Interval:
+    """Read ``a,b``, an interval without its brackets."""
+    start, end = inner.split(",")
+    return Interval(_load_rational(start), _load_rational(end))
+
+
 class _Kind(NamedTuple):
-    """How a value is read from a statement and written back."""
+    """How a value is read from a statement and written back.
+
+    ``pattern`` is the regex the fast path matches the value's text with,
+    and ``load`` turns that text into the value (``None`` keeps the text).
+    """
 
     read: Callable[[_Cursor], object]
     write: Callable[[object], str]
+    pattern: str
+    load: Callable[[str], object] | None = None
 
 
 # ``set`` keys and the Config fields they set.
 _CONFIG_FIELDS = {"threshold": "threshold_default", "min_intensity": "min_intensity"}
 _VALENCES = tuple(valence.value for valence in Valence)
+# The fast path reads intervals written without inner whitespace.
+_SPAN = rf"\[{_NUMBER},{_NUMBER}\)"
 
-_IDENT = _Kind(lambda cur: cur.take("ident").text, str)
-_RATIONAL = _Kind(_rational, format_rational)
-_INTERVAL = _Kind(_interval, str)
-_EXTENT = _Kind(_extent, str)
-_VALENCE = _Kind(
-    lambda cur: Valence(_one_of(cur, _VALENCES)), lambda valence: valence.value
+_IDENT = _Kind(lambda cur: cur.take("ident").text, str, r"[a-z][a-z0-9_]*")
+_RATIONAL = _Kind(_rational, format_rational, _NUMBER, _load_rational)
+_INTERVAL = _Kind(_interval, str, _SPAN, lambda text: _load_interval(text[1:-1]))
+_EXTENT = _Kind(
+    _extent,
+    str,
+    rf"{_SPAN}(?:\+{_SPAN})*",
+    lambda text: IntervalSet(tuple(map(_load_interval, text[1:-1].split(")+[")))),
 )
-_SET_KEY = _Kind(lambda cur: _one_of(cur, _CONFIG_FIELDS), str)
+_VALENCE = _Kind(
+    lambda cur: Valence(_one_of(cur, _VALENCES)),
+    lambda valence: valence.value,
+    "|".join(_VALENCES),
+    Valence,
+)
+_SET_KEY = _Kind(
+    lambda cur: _one_of(cur, _CONFIG_FIELDS), str, "|".join(_CONFIG_FIELDS)
+)
 
 _REQUIRED = object()
 
@@ -324,6 +374,63 @@ _GRAMMAR: dict[str, _Shape] = {
 }
 
 _HEADS = {shape.record: head for head, shape in _GRAMMAR.items()}
+
+
+class _Fast(NamedTuple):
+    """One head word's fast path: a regex for the whole well-formed line,
+    and ``(group, load, default)`` for each field whose text is converted."""
+
+    regex: re.Pattern[str]
+    record: type
+    loads: tuple[tuple[str, Callable[[str], object], object], ...]
+
+
+def _fast(head: str, shape: _Shape) -> _Fast:
+    """Compile ``shape`` into one regex: the head, the positional part, the
+    fields in canonical order (optional ones optional), then a comment."""
+    pattern = [re.escape(head)]
+    loads = []
+    for part in shape.positional:
+        if isinstance(part, str):
+            pattern.append(rf"[ \t]+{re.escape(part)}")
+        else:
+            pattern.append(rf"[ \t]+(?P<{part.name}>{part.kind.pattern})")
+            loads.append(part)
+    for name, field in shape.fields.items():
+        item = rf"[ \t]+{name}=(?P<{name}>{field.kind.pattern})"
+        pattern.append(item if field.default is _REQUIRED else f"(?:{item})?")
+        loads.append(field)
+    pattern.append(r"[ \t]*(?:#|\Z)")
+    # An absent optional field's group is None, which must be its default
+    # unless its kind converts text.
+    assert all(f.kind.load or f.default in (_REQUIRED, None) for f in loads)
+    return _Fast(
+        re.compile("".join(pattern)),
+        shape.record,
+        tuple((f.name, f.kind.load, f.default) for f in loads if f.kind.load),
+    )
+
+
+_FAST = {head: _fast(head, shape) for head, shape in _GRAMMAR.items()}
+
+
+def _fast_statement(line: str) -> Statement | None:
+    """Read a well-formed line whose fields are in canonical order, or
+    return ``None`` so that :func:`_parse_statement` reads it instead."""
+    fast = _FAST.get(line.partition(" ")[0])
+    if fast is None:
+        return None
+    match = fast.regex.match(line)
+    if match is None:
+        return None
+    values = match.groupdict()
+    try:
+        for name, load, default in fast.loads:
+            text = values[name]
+            values[name] = default if text is None else load(text)
+    except (DslSyntaxError, EmptyIntervalError):
+        return None
+    return fast.record(**values)
 
 
 def _parse_statement(line: str) -> Statement | None:
@@ -439,13 +546,15 @@ def parse_document(text: str) -> ParseResult:
                         column=header.start(1),
                     )
                 )
-        try:
-            statement = _parse_statement(raw)
-        except _StatementError as exc:
-            diags.append(
-                Diagnostic(exc.code, exc.message, line=line_no, column=exc.column)
-            )
-            continue
+        statement = _fast_statement(raw)
+        if statement is None:
+            try:
+                statement = _parse_statement(raw)
+            except _StatementError as exc:
+                diags.append(
+                    Diagnostic(exc.code, exc.message, line=line_no, column=exc.column)
+                )
+                continue
         if statement is not None:
             parsed.append((statement, line_no, 1))
 

@@ -300,8 +300,8 @@ def explain(
     return Trace(signals, failure, verdict)
 
 
-# Most ticks :func:`tick_oracle` walks for one query: each tick scans every
-# record, so a finer grid would run for hours rather than fail.
+# Most ticks :func:`tick_oracle` walks for one query: each tick scans the
+# pair's records, so a finer grid would run for hours rather than fail.
 MAX_ORACLE_TICKS = 1_000_000
 
 
@@ -353,14 +353,35 @@ def tick_oracle(
         raise GranularityError(
             f"granularity {format_rational(granularity)} must be positive"
         )
+    # a/b divided by p/q is whole iff b*p divides a*q: integer arithmetic,
+    # with no Fraction built per endpoint.
+    p, q = granularity.numerator, granularity.denominator
     for point in _timeline_endpoints(timeline, interval):
-        if (Fraction(point) / granularity).denominator != 1:
+        if (point.numerator * q) % (point.denominator * p):
             raise GranularityError(
                 f"granularity {format_rational(granularity)} does not divide "
                 f"endpoint {format_rational(point)}"
             )
     floor = timeline.config.min_intensity
 
+    # Once per query, before any tick: only the pair's own records can
+    # decide a tick, so the tick loop never scans the rest of the timeline.
+    felt = [
+        ep for ep in timeline.sensations
+        if ep.bearer == subject
+        and ep.correlate == object_
+        and ep.valence is Valence.POSITIVE
+    ]
+    strong = [ep for ep in felt if ep.intensity >= floor]
+    valued = [
+        j for j in timeline.judgments
+        if j.agent == subject
+        and (j.target == object_ or any(ep.id == j.target for ep in felt))
+    ]
+    masks = [
+        inh for inh in timeline.inhibitions
+        if inh.agent == subject and inh.toward in (None, object_)
+    ]
     onset: Fraction | None = None
     for rec in timeline.acquaintances:
         if rec.subject == subject and rec.object == object_:
@@ -368,39 +389,21 @@ def tick_oracle(
                 onset = rec.at
 
     def masked(t: Fraction) -> bool:
-        return any(
-            inh.agent == subject
-            and inh.toward in (None, object_)
-            and _tick_in(t, inh.extent)
-            for inh in timeline.inhibitions
-        )
+        return any(_tick_in(t, inh.extent) for inh in masks)
 
     def cond_i_at(t: Fraction) -> bool:
-        return any(
-            ep.bearer == subject
-            and ep.correlate == object_
-            and ep.valence is Valence.POSITIVE
-            and ep.intensity >= floor
-            and _tick_in(t, ep.extent)
-            for ep in timeline.sensations
-        )
+        return any(_tick_in(t, ep.extent) for ep in strong)
 
     def cond_ii_at(t: Fraction) -> bool:
         if onset is None or t < onset:
             return False
-        for j in timeline.judgments:
-            if j.agent != subject or not _tick_in(t, j.extent):
+        for j in valued:
+            if not _tick_in(t, j.extent):
                 continue
             if j.target == object_:
                 return True
-            for ep in timeline.sensations:
-                if (
-                    ep.id == j.target
-                    and ep.bearer == subject
-                    and ep.correlate == object_
-                    and ep.valence is Valence.POSITIVE
-                    and _tick_in(t, ep.extent)
-                ):
+            for ep in felt:
+                if ep.id == j.target and _tick_in(t, ep.extent):
                     return True
         return False
 

@@ -5,14 +5,19 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import math
+import random
 import subprocess
 import sys
+import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from loveline import (
     GranularityError,
+    format_rational,
     IntervalSet,
     Verdict,
     export_graph,
@@ -325,6 +330,58 @@ class TestOracle:
             "loveline: E_GRANULARITY: granularity 1 does not divide "
             "endpoint 1/2\n"
         )
+
+    def test_thousands_of_events_at_the_lcm_granularity(self, capsys, tmp_path):
+        # Each tick reads only the queried pair's records, so a timeline of
+        # a few thousand events checks in seconds, not minutes.
+        text, denominators = oracle_corpus(random.Random(2026))
+        assert 1000 <= text.count("\n") <= 5000
+        path = tmp_path / "big.love"
+        path.write_text(text, encoding="utf-8")
+        tick = f"1/{math.lcm(*denominators)}"
+        started = time.perf_counter()
+        code, out, err = run_main(
+            "oracle", str(path), "--granularity", tick, capsys=capsys
+        )
+        assert (code, out, err) == (0, "", "")
+        assert time.perf_counter() - started < 8
+
+
+def oracle_corpus(rng: random.Random) -> tuple[str, tuple[int, ...]]:
+    """About 4,300 events over 600 pairs and 40 queries of up to 6,000
+    ticks, on grids of 1, 1/3, 1/4 and 1/5 up to 100."""
+    denominators = (1, 3, 4, 5)
+    agents = [f"a{i}" for i in range(30)]
+    pairs = rng.sample([(s, p) for s in agents for p in agents if s != p], 600)
+
+    def span(length: int) -> str:
+        d = rng.choice(denominators)
+        start = rng.randint(0, (100 - length) * d)
+        end = start + rng.randint(d, length * d)
+        ends = (format_rational(Fraction(point, d)) for point in (start, end))
+        return "[{},{})".format(*ends)
+
+    lines = [f"agent {a}" for a in agents]
+    for k, (s, p) in enumerate(pairs):
+        lines.append(f"acquaintance {s} {p} at {rng.randint(0, 60)}")
+        for m in range(3):
+            valence = rng.choice(["positive", "positive", "negative"])
+            intensity = rng.choice(["1/4", "1/2", "3/4", "1"])
+            lines.append(
+                f"sensation s{k}_{m} bearer={s} correlate={p} valence={valence}"
+                f" intensity={intensity} extent={span(20)}+{span(20)}"
+            )
+            target = rng.choice([f"s{k}_{m}", p])
+            lines.append(f"judgment j{k}_{m} agent={s} target={target}"
+                         f" extent={span(30)}")
+        if k % 5 == 0:
+            toward = rng.choice(["", f" toward={p}"])
+            lines.append(f"inhibition h{k} agent={s}{toward} extent={span(5)}")
+    lines.append("set min_intensity 1/2")
+    for s, p in rng.choices(pairs, k=40):
+        window = span(rng.randint(20, 100))
+        lines.append(f"query loves {s} {p} interval={window} threshold=1/2")
+    return "".join(line + "\n" for line in lines), denominators
 
 
 def too_long_result(tmp_path) -> str:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +19,7 @@ from loveline import (
     parse_rational,
     serialize_document,
 )
+from loveline import parser
 from loveline.parser import HEADER, DslSyntaxError
 
 from conftest import FIXTURE_DIR, build_timeline_a
@@ -570,3 +572,161 @@ def test_grammar_mutated_text_parses_and_round_trips(lines, edits):
     result = parse_document(" ".join(tokens))
     again = parse_document(serialize_document(result.statements))
     assert again.statements == result.statements
+
+
+# The fast path against the token-by-token reader. Lines are built from the
+# grammar table in canonical field order or shuffled, then respaced, run
+# together, commented and mutated; every value list includes text that
+# only the reader may turn into a diagnostic.
+_LIMIT = "1" + "0" * 4300  # one digit over Python's default int/str limit
+_diff_rationals = st.sampled_from(
+    ["0", "3", "+3", "-1/2", "1.", ".5", "0.75", "3/4", "-0"] * 3
+    + ["0/0", "1/0", "1/2.5", _LIMIT, "1/" + _LIMIT, _LIMIT + ".5"]
+).map(lambda token: [token])
+_diff_spans = st.one_of(
+    st.tuples(st.sampled_from(["-1/2", "0", ".5", "1."]),
+              st.sampled_from(["3", "+3", "7.5", "10/3"])).map(
+        lambda ends: [[ends[0]], [ends[1]]]
+    ),
+    st.tuples(_diff_rationals, _diff_rationals),
+).map(lambda ends: ["[", *ends[0], ",", *ends[1], ")"])
+_VALUE_TOKENS = {
+    parser._IDENT: st.sampled_from(["a", "b", "s1", "a55", "at", "agent"]).map(
+        lambda token: [token]
+    ),
+    parser._RATIONAL: _diff_rationals,
+    parser._INTERVAL: _diff_spans,
+    parser._EXTENT: st.lists(_diff_spans, min_size=1, max_size=3).map(
+        lambda spans: [t for i, span in enumerate(spans)
+                       for t in ["+"] * (i > 0) + span]
+    ),
+    parser._VALENCE: st.sampled_from(["positive", "negative", "positives"]).map(
+        lambda token: [token]
+    ),
+    parser._SET_KEY: st.sampled_from(["threshold", "min_intensity"]).map(
+        lambda token: [token]
+    ),
+}
+
+
+@st.composite
+def _grammar_line(draw) -> list[str]:
+    head, shape = draw(st.sampled_from(sorted(parser._GRAMMAR.items())))
+    tokens = [head]
+    for part in shape.positional:
+        tokens += [part] if isinstance(part, str) else draw(_VALUE_TOKENS[part.kind])
+    fields = [
+        [name, "=", *draw(_VALUE_TOKENS[field.kind])]
+        for name, field in shape.fields.items()
+        if field.default is parser._REQUIRED or draw(st.booleans())
+    ]
+    if draw(st.booleans()):
+        fields = draw(st.permutations(fields))
+    return tokens + [t for field in fields for t in field]
+
+
+_TIGHT_AFTER = {"=", "[", ",", "+"}
+_TIGHT_BEFORE = {"=", ",", ")", "+"}
+
+
+@st.composite
+def _diff_line(draw) -> str:
+    tokens = draw(_grammar_line())
+    edits = st.lists(st.tuples(
+        st.sampled_from(["delete", "insert", "swap"]),
+        st.integers(0, 30), st.integers(0, 30), _stray_tokens,
+    ), min_size=1, max_size=2)
+    for op, i, j, stray in draw(st.just([]) | edits):
+        if op == "insert":
+            tokens.insert(i % (len(tokens) + 1), stray)
+        elif tokens and op == "delete":
+            del tokens[i % len(tokens)]
+        elif tokens:
+            i, j = i % len(tokens), j % len(tokens)
+            tokens[i], tokens[j] = tokens[j], tokens[i]
+    if not tokens:
+        return ""
+    # Canonical spacing, then a few gaps widened, tabbed or closed up, so
+    # that words run together ("agentab", "a55correlate=").
+    gaps = [
+        "" if left in _TIGHT_AFTER or right in _TIGHT_BEFORE else " "
+        for left, right in zip(tokens, tokens[1:])
+    ]
+    for i, gap in draw(st.lists(st.tuples(
+        st.integers(0, 30), st.sampled_from(["", " ", "  ", "\t", " \t "])
+    ), max_size=3)):
+        if gaps:
+            gaps[i % len(gaps)] = gap
+    text = tokens[0] + "".join(g + t for g, t in zip(gaps, tokens[1:]))
+    lead = draw(st.sampled_from(["", "", "", " ", "\t"]))
+    comment = draw(st.sampled_from(["", "", "", " # note", "#x=[1,2)", "\t# \r", " #"]))
+    return lead + text + comment
+
+
+def _slow_only_parse(text: str):
+    with mock.patch.object(parser, "_fast_statement", lambda line: None):
+        return parse_document(text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(lines=st.lists(_diff_line(), max_size=6))
+def test_fast_path_agrees_with_the_token_reader(lines):
+    text = "\n".join(lines)
+    for line in text.split("\n"):
+        fast = parser._fast_statement(line)
+        if fast is not None:
+            assert repr(fast) == repr(parser._parse_statement(line))
+    fast_doc, slow_doc = parse_document(text), _slow_only_parse(text)
+    assert repr(fast_doc.statements) == repr(slow_doc.statements)
+    assert fast_doc.diagnostics == slow_doc.diagnostics
+    assert fast_doc.timeline == slow_doc.timeline
+
+
+@pytest.mark.parametrize("line", [
+    "agent a",
+    "agent a # note",
+    "acquaintance a b at +3",
+    "acquaintance a b at 1.",
+    "sensation s1 bearer=a correlate=b valence=positive intensity=.5 "
+    "extent=[-1/2,3)+[4,5)",
+    "sensation s1 bearer=a correlate=b valence=negative extent=[0,1)\t#c",
+    "judgment j1 agent=a target=s1 extent=[0.75,1)",
+    "inhibition h1 agent=a toward=b extent=[1,2)",
+    "inhibition h1 agent=a extent=[1,2)",
+    "set threshold 1/2",
+    "set min_intensity 0",
+    "query loves a b interval=[0,10) threshold=1/3",
+    "query loves a b interval=[0,10)",
+])
+def test_canonical_lines_take_the_fast_path(line):
+    fast = parser._fast_statement(line)
+    assert fast is not None
+    assert repr(fast) == repr(parser._parse_statement(line))
+
+
+@pytest.mark.parametrize("line", [
+    "agentab",
+    "sensation s1 bearer=a55correlate=b valence=positive extent=[0,1)",
+    "sensation s1 correlate=b bearer=a valence=positive extent=[0,1)",
+    "judgment j1 agent=a target=s1 extent=[ 0,1)",
+    "judgment j1 agent = a target=s1 extent=[0,1)",
+    "acquaintance a b at 1/0",
+    "acquaintance a b at 0/0",
+    pytest.param("acquaintance a b at " + _LIMIT, id="over-digit-limit"),
+    pytest.param("judgment j1 agent=a target=s1 extent=[0,1/" + _LIMIT + ")",
+                 id="denominator-over-digit-limit"),
+    "judgment j1 agent=a target=s1 extent=[2,1)",
+    "  agent a",
+    "agent\ta",
+])
+def test_other_lines_fall_back_to_the_token_reader(line):
+    assert parser._fast_statement(line) is None
+
+
+def test_every_serialized_statement_takes_the_fast_path():
+    for path in sorted(FIXTURE_DIR.glob("*.love")):
+        statements = parse_path(path.name).statements
+        lines = serialize_document(statements).splitlines()[1:]
+        assert [repr(parser._fast_statement(line)) for line in lines] == [
+            repr(statement) for statement in statements
+        ]
