@@ -92,14 +92,26 @@ def parse_rational(token: str) -> Fraction:
     """
     if not _RATIONAL_RE.match(token):
         raise DslSyntaxError(f"malformed rational {_quoted(token)}")
+    return _to_fraction(token)
+
+
+def _to_fraction(text: str) -> Fraction:
+    """Convert a ``_NUMBER`` match: integers and fractions through
+    ``int()``, which is cheaper than ``Fraction(text)``; decimals through
+    ``Fraction(text)``, which reads them exactly."""
+    numerator, _, denominator = text.partition("/")
     try:
-        return Fraction(token)
+        if denominator:
+            return Fraction(int(numerator), int(denominator))
+        if "." in text:
+            return Fraction(text)
+        return Fraction(int(text))
     except ZeroDivisionError:
-        raise DslSyntaxError(f"zero denominator in {_quoted(token)}") from None
+        raise DslSyntaxError(f"zero denominator in {_quoted(text)}") from None
     except ValueError:
         # Python's int/str conversion limit (sys.get_int_max_str_digits).
         raise DslSyntaxError(
-            f"rational of {len(token)} characters has too many digits"
+            f"rational of {len(text)} characters has too many digits"
         ) from None
 
 
@@ -254,25 +266,10 @@ def _one_of(cur: _Cursor, options: Iterable[str]) -> str:
     return token.text
 
 
-def _load_rational(text: str) -> Fraction:
-    """The fast path's reader of a ``_NUMBER`` match: ``int()`` for
-    integers and fractions, ``Fraction(text)`` for decimals."""
-    numerator, _, denominator = text.partition("/")
-    try:
-        if denominator:
-            return Fraction(int(numerator), int(denominator))
-        if "." in text:
-            return Fraction(text)
-        return Fraction(int(text))
-    except (ValueError, ZeroDivisionError):
-        # A zero denominator, or more digits than int() converts.
-        raise DslSyntaxError(f"unreadable rational {_quoted(text)}") from None
-
-
 def _load_interval(inner: str) -> Interval:
     """Read ``a,b``, an interval without its brackets."""
     start, end = inner.split(",")
-    return Interval(_load_rational(start), _load_rational(end))
+    return Interval(_to_fraction(start), _to_fraction(end))
 
 
 class _Kind(NamedTuple):
@@ -295,7 +292,7 @@ _VALENCES = tuple(valence.value for valence in Valence)
 _SPAN = rf"\[{_NUMBER},{_NUMBER}\)"
 
 _IDENT = _Kind(lambda cur: cur.take("ident").text, str, r"[a-z][a-z0-9_]*")
-_RATIONAL = _Kind(_rational, format_rational, _NUMBER, _load_rational)
+_RATIONAL = _Kind(_rational, format_rational, _NUMBER, _to_fraction)
 _INTERVAL = _Kind(_interval, str, _SPAN, lambda text: _load_interval(text[1:-1]))
 _EXTENT = _Kind(
     _extent,

@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import io
 import json
 import math
 import random
 import subprocess
 import sys
-import time
 from fractions import Fraction
 
 import pytest
@@ -23,6 +23,7 @@ from loveline import (
     export_graph,
     parse_document,
     project_timeline,
+    tick_oracle,
 )
 from loveline.cli import main
 
@@ -331,20 +332,46 @@ class TestOracle:
             "endpoint 1/2\n"
         )
 
-    def test_thousands_of_events_at_the_lcm_granularity(self, capsys, tmp_path):
-        # Each tick reads only the queried pair's records, so a timeline of
-        # a few thousand events checks in seconds, not minutes.
+    def test_thousands_of_events_at_the_lcm_granularity(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        # Each query reads the timeline's records twice, once to check the
+        # granularity and once to pick the pair's own, rather than once per
+        # tick, so a timeline of a few thousand events checks in seconds.
         text, denominators = oracle_corpus(random.Random(2026))
         assert 1000 <= text.count("\n") <= 5000
         path = tmp_path / "big.love"
         path.write_text(text, encoding="utf-8")
+        reads: list[int] = []  # records read from the timeline, per query
+
+        class Counted(tuple):
+            def __iter__(self):
+                for record in tuple.__iter__(self):
+                    reads[-1] += 1
+                    yield record
+
+        def counting_oracle(*asked):
+            *leading, timeline, granularity = asked
+            reads.append(0)
+            counted = dataclasses.replace(
+                timeline,
+                **{name: Counted(getattr(timeline, name)) for name in RECORDS},
+            )
+            return tick_oracle(*leading, counted, granularity)
+
+        monkeypatch.setattr("loveline.cli.tick_oracle", counting_oracle)
         tick = f"1/{math.lcm(*denominators)}"
-        started = time.perf_counter()
         code, out, err = run_main(
             "oracle", str(path), "--granularity", tick, capsys=capsys
         )
         assert (code, out, err) == (0, "", "")
-        assert time.perf_counter() - started < 8
+        timeline = parse_document(text).timeline
+        size = sum(len(getattr(timeline, name)) for name in RECORDS)
+        assert len(reads) == len(timeline.queries) == 40
+        assert max(reads) <= 2 * size
+
+
+RECORDS = ("acquaintances", "sensations", "judgments", "inhibitions", "queries")
 
 
 def oracle_corpus(rng: random.Random) -> tuple[str, tuple[int, ...]]:
