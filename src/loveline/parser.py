@@ -33,11 +33,12 @@ Each line is read one of two ways, with the same result:
 * diagnostics come only from that reader: a line the fast path cannot
   match or convert is handed to it unchanged.
 
-Parsing is two-pass: statements are collected first, then identifier
-references are resolved, so declarations need not precede uses. All
-diagnostics for a document are collected in one run rather than stopping
-at the first. :func:`serialize_document` emits the canonical form, which
-reparses to an identical statement sequence.
+One loop reads each line and files its statement into the timeline;
+:func:`validate_timeline` resolves identifier references after the last
+line, so declarations need not precede uses. All diagnostics for a
+document are collected in one run rather than stopping at the first.
+:func:`serialize_document` emits the canonical form, which reparses to an
+identical statement sequence.
 """
 
 from __future__ import annotations
@@ -162,7 +163,8 @@ class _Token(NamedTuple):
 
 _TOKEN_RE = re.compile(
     r"(?P<ws>[ \t]+)"
-    rf"|(?P<number>{_NUMBER})"
+    # A number run into letters, like ``1e3``, is one malformed rational.
+    rf"|(?P<number>{_NUMBER})(?P<run_on>[a-z_][a-z0-9_./]*)?"
     r"|(?P<ident>[a-z][a-z0-9_]*)"
     r"|(?P<punct>[=\[,)+])"
 )
@@ -185,6 +187,10 @@ def _tokenize(line: str) -> list[_Token]:
             raise _StatementError(f"unexpected character {line[pos]!r}", pos + 1)
         kind = match.lastgroup
         assert kind is not None
+        if kind == "run_on":
+            raise _StatementError(
+                f"malformed rational {_quoted(match.group())}", pos + 1
+            )
         if kind != "ws":
             tokens.append(_Token(kind, match.group(), pos + 1))
         pos = match.end()
@@ -231,7 +237,7 @@ class _Cursor:
 def _rational(cur: _Cursor) -> Fraction:
     token = cur.take("number")
     try:
-        return parse_rational(token.text)
+        return _to_fraction(token.text)
     except DslSyntaxError as exc:
         raise _StatementError(str(exc), token.column) from None
 
@@ -474,55 +480,15 @@ def _parse_statement(line: str) -> Statement | None:
     return shape.record(**values)
 
 
-def _build_timeline(
-    parsed: list[tuple[Statement, int, int]],
-) -> tuple[Timeline, dict[str, tuple[int, int]], list[Diagnostic]]:
-    diags: list[Diagnostic] = []
-    positions: dict[str, tuple[int, int]] = {}
-    declared: dict[str, str] = {}
-    records: dict[str, list] = {head: [] for head in _GRAMMAR}
-    config: dict[str, Fraction] = {}
-
-    for statement, line, column in parsed:
-        head = _HEADS[type(statement)]
-        if head == "set":
-            # Document-wide, last writer wins.
-            name = _CONFIG_FIELDS[statement.key]
-            config[name] = statement.value
-            positions[f"config.{name}"] = (line, column)
-            continue
-        kept = records[head]
-        if head in ("acquaintance", "query"):
-            positions[f"{head}[{len(kept)}]"] = (line, column)
-        else:
-            # Ids share one namespace so judgment targets resolve without
-            # ambiguity; the first declaration wins, later ones error.
-            record_id = statement.name if head == "agent" else statement.id
-            if record_id in declared:
-                diags.append(_duplicate_id(
-                    record_id, declared[record_id], line=line, column=column
-                ))
-                continue
-            declared[record_id] = head
-            positions[record_id] = (line, column)
-        kept.append(statement)
-
-    timeline = Timeline(
-        agents=tuple(decl.name for decl in records["agent"]),
-        acquaintances=tuple(records["acquaintance"]),
-        sensations=tuple(records["sensation"]),
-        judgments=tuple(records["judgment"]),
-        inhibitions=tuple(records["inhibition"]),
-        queries=tuple(records["query"]),
-        config=Config(**config),
-    )
-    return timeline, positions, diags
-
-
 def parse_document(text: str) -> ParseResult:
     """Parse source text, collecting every diagnostic in one run."""
     diags: list[Diagnostic] = []
-    parsed: list[tuple[Statement, int, int]] = []
+    statements: list[Statement] = []
+    # The line of each handle the validator can name.
+    lines: dict[str, int] = {}
+    declared: dict[str, str] = {}
+    records: dict[str, list] = {head: [] for head in _GRAMMAR}
+    config: dict[str, Fraction] = {}
     seeking_header = True
     # Lines end at LF only (str.splitlines also ends them at U+2028, U+0085,
     # form feed and more); one CR before the LF is dropped.
@@ -552,18 +518,48 @@ def parse_document(text: str) -> ParseResult:
                     Diagnostic(exc.code, exc.message, line=line_no, column=exc.column)
                 )
                 continue
-        if statement is not None:
-            parsed.append((statement, line_no, 1))
+            if statement is None:
+                continue
+        statements.append(statement)
+        head = _HEADS[type(statement)]
+        if head == "set":
+            # Document-wide, last writer wins.
+            name = _CONFIG_FIELDS[statement.key]
+            config[name] = statement.value
+            lines[f"config.{name}"] = line_no
+            continue
+        kept = records[head]
+        if head in ("acquaintance", "query"):
+            lines[f"{head}[{len(kept)}]"] = line_no
+        else:
+            # Ids share one namespace so judgment targets resolve without
+            # ambiguity; the first declaration wins, later ones error.
+            record_id = statement.name if head == "agent" else statement.id
+            if record_id in declared:
+                diags.append(_duplicate_id(
+                    record_id, declared[record_id], line=line_no, column=1
+                ))
+                continue
+            declared[record_id] = head
+            lines[record_id] = line_no
+        kept.append(statement)
 
-    timeline, positions, dup_diags = _build_timeline(parsed)
-    diags.extend(dup_diags)
+    timeline = Timeline(
+        agents=tuple(decl.name for decl in records["agent"]),
+        acquaintances=tuple(records["acquaintance"]),
+        sensations=tuple(records["sensation"]),
+        judgments=tuple(records["judgment"]),
+        inhibitions=tuple(records["inhibition"]),
+        queries=tuple(records["query"]),
+        config=Config(**config),
+    )
     for diag in validate_timeline(timeline):
-        line, column = positions.get(diag.record or "", (None, None))
-        diags.append(replace(diag, line=line, column=column))
+        line = lines.get(diag.record or "")
+        diags.append(replace(diag, line=line, column=None if line is None else 1))
 
     diags.sort(key=lambda d: (d.line or 0, d.column or 0, d.code, d.message))
     return ParseResult(
-        statements=tuple(statement for statement, _, _ in parsed),
+        statements=tuple(statements),
         timeline=timeline if not diags else None,
         diagnostics=tuple(diags),
     )

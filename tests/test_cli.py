@@ -7,6 +7,7 @@ import dataclasses
 import io
 import json
 import math
+import os
 import random
 import subprocess
 import sys
@@ -565,3 +566,28 @@ class TestModuleEntryPoint:
         assert result.returncode == 0
         code, out, _ = run_main("eval", fx("timeline_a.love"), capsys=capsys)
         assert result.stdout == out
+
+    def test_bytes_do_not_depend_on_the_hash_seed(self):
+        # In-process runs share one PYTHONHASHSEED; set or dict order that
+        # leaked into the output would show only across processes.
+        src = str(FIXTURE_DIR.parent.parent / "src")
+        runs = [("check", fx("bad.love"))]
+        for path in sorted(FIXTURE_DIR.glob("*.love")):
+            if parse_document(path.read_text(encoding="utf-8")).ok:
+                runs.append(("eval", "--format", "json", str(path)))
+                runs.append(("export-bfo", str(path)))
+
+        def outputs(seed: str) -> list:
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            results = [
+                subprocess.run(
+                    [sys.executable, "-m", "loveline", *argv],
+                    capture_output=True, env=env,
+                )
+                for argv in runs
+            ]
+            return [(r.returncode, r.stdout, r.stderr) for r in results]
+
+        first = outputs("0")
+        assert [code for code, _, _ in first] == [1] + [0] * 8
+        assert outputs("1") == first

@@ -326,6 +326,19 @@ class TestDiagnostics:
             ("E_SYNTAX", 3)]
         assert "unexpected character" in result.diagnostics[0].message
 
+    @pytest.mark.parametrize("line, column, token", [
+        ("sensation s bearer=a correlate=b valence=positive intensity=1e3 "
+         "extent=[0,1)", 61, "1e3"),
+        ("acquaintance a b at 3x", 21, "3x"),
+        ("query loves a b interval=[0,1e2)", 29, "1e2"),
+    ])
+    def test_number_run_into_letters_is_one_malformed_rational(
+        self, line, column, token
+    ):
+        result = parse_document(f"agent a\nagent b\n{line}\n")
+        assert [d.render("f") for d in result.diagnostics] == [
+            f"f:3:{column}: E_SYNTAX: malformed rational '{token}'"]
+
     def test_non_ascii_header_version_is_a_comment(self):
         assert parse_document("# loveline v\u0662\nagent a\n").ok
 
@@ -371,6 +384,34 @@ class TestDiagnostics:
         result = parse_document("agent a\nset threshold 0\n")
         assert [(d.code, d.line) for d in result.diagnostics] == [
             ("E_THRESHOLD_NONPOSITIVE", 2)
+        ]
+
+    def test_validator_diagnostics_land_on_their_records_line(self):
+        result = parse_document(
+            "agent a\n"
+            "agent b\n"
+            "acquaintance a b at 0\n"
+            "acquaintance a z at 0\n"
+            "query loves a b interval=[0,x)\n"
+            "query loves a z interval=[0,1)\n"
+            "set min_intensity 1/2\n"
+            "set min_intensity 2\n"
+            "inhibition i agent=a toward=z extent=[0,1)\n"
+            "sensation s bearer=a correlate=b valence=positive intensity=2 "
+            "extent=[0,1)\n"
+            "sensation s bearer=a correlate=b valence=positive extent=[0,1)\n"
+        )
+        # Only parsed queries count, so line 6 holds query[0]; a repeated
+        # set is placed at its last writer.
+        assert [(d.code, d.line, d.column, d.record)
+                for d in result.diagnostics] == [
+            ("E_UNKNOWN_REF", 4, 1, "acquaintance[1]"),
+            ("E_SYNTAX", 5, 29, None),
+            ("E_UNKNOWN_REF", 6, 1, "query[0]"),
+            ("E_INTENSITY_RANGE", 8, 1, "config.min_intensity"),
+            ("E_UNKNOWN_REF", 9, 1, "i"),
+            ("E_INTENSITY_RANGE", 10, 1, "s"),
+            ("E_DUP_ID", 11, 1, "s"),
         ]
 
     def test_bad_fixture_collects_all(self):
