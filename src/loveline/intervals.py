@@ -9,8 +9,10 @@ floating point is involved anywhere.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 from typing import Iterable, Iterator, Union
 
 from .diagnostics import EmptyIntervalError
@@ -65,13 +67,24 @@ class IntervalSet:
 
     Construction merges overlapping and abutting members, so the stored
     tuple is always sorted ascending with ``end_k < start_{k+1}``. Equality
-    and hashing therefore coincide with point-set equality.
+    and hashing therefore coincide with point-set equality. Operations
+    whose result is already normalized (``within``, ``intersect``,
+    ``difference``, ``clip_from``) skip the merge; the sorted members also
+    let ``within``, ``meets`` and membership find a point by bisection.
     """
 
     intervals: tuple[Interval, ...] = ()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "intervals", _merge(self.intervals))
+
+    @classmethod
+    def _normalized(cls, intervals: tuple[Interval, ...]) -> "IntervalSet":
+        # For members already sorted, disjoint and non-adjacent, such as a
+        # slice of a normalized set: the merge would return them unchanged.
+        result = object.__new__(cls)
+        object.__setattr__(result, "intervals", intervals)
+        return result
 
     def __bool__(self) -> bool:
         return bool(self.intervals)
@@ -80,7 +93,10 @@ class IntervalSet:
         return iter(self.intervals)
 
     def __contains__(self, t: Rational) -> bool:
-        return any(t in iv for iv in self.intervals)
+        # Only the first member ending after t can hold it.
+        members = self.intervals
+        i = bisect_right(members, t, key=_END)
+        return i < len(members) and members[i].start <= t
 
     def __str__(self) -> str:
         """Render as ``[a,b)+[c,d)``; empty sets render as an empty string."""
@@ -89,6 +105,27 @@ class IntervalSet:
     def measure(self) -> Fraction:
         """Total length: the sum of ``end - start`` over all members."""
         return sum((iv.end - iv.start for iv in self.intervals), Fraction(0))
+
+    def within(self, window: Interval) -> "IntervalSet":
+        """Points of ``self`` inside ``window``, found by bisection: only the
+        two edge members of the slice are clipped."""
+        members = self.intervals
+        lo = bisect_right(members, window.start, key=_END)
+        hi = bisect_left(members, window.end, lo, key=_START)
+        if lo == hi:
+            return IntervalSet._normalized(())
+        out = list(members[lo:hi])
+        if out[0].start < window.start:
+            out[0] = Interval(window.start, out[0].end)
+        if out[-1].end > window.end:
+            out[-1] = Interval(out[-1].start, window.end)
+        return IntervalSet._normalized(tuple(out))
+
+    def meets(self, window: Interval) -> bool:
+        """Whether ``self`` and ``window`` share more than an instant."""
+        members = self.intervals
+        i = bisect_right(members, window.start, key=_END)
+        return i < len(members) and members[i].start < window.end
 
     def union(self, other: "IntervalSet") -> "IntervalSet":
         return IntervalSet(self.intervals + other.intervals)
@@ -106,7 +143,7 @@ class IntervalSet:
                 i += 1
             else:
                 j += 1
-        return IntervalSet(tuple(out))
+        return IntervalSet._normalized(tuple(out))
 
     def difference(self, other: "IntervalSet") -> "IntervalSet":
         """Points of ``self`` not in ``other``."""
@@ -125,7 +162,7 @@ class IntervalSet:
                     break
             if cursor < iv.end:
                 out.append(Interval(cursor, iv.end))
-        return IntervalSet(tuple(out))
+        return IntervalSet._normalized(tuple(out))
 
     def clip_from(self, t: Rational) -> "IntervalSet":
         """Points of ``self`` at or after ``t``."""
@@ -134,7 +171,11 @@ class IntervalSet:
             if iv.end <= t:
                 continue
             out.append(iv if iv.start >= t else Interval(Fraction(t), iv.end))
-        return IntervalSet(tuple(out))
+        return IntervalSet._normalized(tuple(out))
+
+
+_START = attrgetter("start")
+_END = attrgetter("end")
 
 
 def _merge(intervals: Iterable[Interval]) -> tuple[Interval, ...]:

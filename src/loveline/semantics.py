@@ -234,7 +234,7 @@ def evaluate(
     """
     _check_threshold(threshold)
     love = _signals_of(subject, object_, timeline).love
-    events = IntervalSet((interval,)).intersect(love)
+    events = love.within(interval)
     s = events.measure()
     c = interval.measure - s
     return Verdict(
@@ -264,12 +264,6 @@ def love_state_at(
     return (Fraction(t) in verdict.love_events, verdict.holds)
 
 
-def _meets(signal: IntervalSet, interval: Interval) -> bool:
-    """Whether ``signal`` and ``interval`` share more than an instant."""
-    return any(iv.start < interval.end and interval.start < iv.end
-               for iv in signal)
-
-
 def explain(
     subject: str,
     object_: str,
@@ -288,10 +282,10 @@ def explain(
     signals = _signals_of(subject, object_, timeline)
     if signals.acquaintance_onset is None:
         failure = "no acquaintance"
-    elif not _meets(signals.condition_i, interval):
+    elif not signals.condition_i.meets(interval):
         failure = "condition (i) empty"
-    elif not (_meets(signals.condition_ii_derived, interval)
-              or _meets(signals.condition_ii_direct, interval)):
+    elif not (signals.condition_ii_derived.meets(interval)
+              or signals.condition_ii_direct.meets(interval)):
         failure = "condition (ii) empty"
     elif not verdict.holds:
         failure = "ratio below threshold"

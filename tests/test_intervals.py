@@ -5,7 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from loveline import (
     EmptyIntervalError,
@@ -35,6 +35,23 @@ def interval_sets(draw, max_size: int = 5) -> IntervalSet:
 def windows(draw) -> Interval:
     a = draw(fracs)
     return Interval(a, a + draw(widths))
+
+
+@st.composite
+def sets_and_windows(draw) -> tuple[IntervalSet, Interval]:
+    """A set of up to 40 members, so bisection goes several levels deep,
+    and a window whose ends are mostly the set's own endpoints, so windows
+    that start at a member's end or end at a member's start come up often.
+    Distinct sorted points paired off are already disjoint and
+    non-adjacent."""
+    points = sorted(draw(st.sets(fracs, max_size=80)))
+    s = IntervalSet(tuple(
+        Interval(a, b) for a, b in zip(points[::2], points[1::2])))
+    ends = set(points).union(
+        draw(st.lists(fracs, min_size=2, max_size=2, unique=True)))
+    a, b = draw(st.lists(st.sampled_from(sorted(ends)),
+                         min_size=2, max_size=2, unique=True))
+    return s, Interval(min(a, b), max(a, b))
 
 
 def iset(*pairs: tuple) -> IntervalSet:
@@ -167,6 +184,54 @@ class TestComplementWithin:
         assert inside.measure() + outside.measure() == window.measure
         assert inside.union(outside) == IntervalSet((window,))
         assert inside.intersect(outside) == IntervalSet()
+
+
+class TestWithin:
+    """Bisection for a window and for a point against the linear readings."""
+
+    S = iset((0, 2), (4, 6), (8, 10))
+
+    @pytest.mark.parametrize("window, inside", [
+        (Interval(2, 4), IntervalSet()),  # a gap, abutting members both sides
+        (Interval(F(9, 2), 5), iset((F(9, 2), 5))),  # inside one member
+        (Interval(-1, 11), S),  # covers every member
+        (Interval(-1, 0), IntervalSet()),  # abuts the first member's start
+        (Interval(10, 12), IntervalSet()),  # abuts the last member's end
+        (Interval(1, 9), iset((1, 2), (4, 6), (8, 9))),  # clips both edges
+    ])
+    def test_pinned(self, window: Interval, inside: IntervalSet):
+        assert self.S.within(window) == inside
+        assert self.S.meets(window) == bool(inside)
+
+    def test_empty_set(self):
+        assert IntervalSet().within(Interval(0, 1)) == IntervalSet()
+        assert not IntervalSet().meets(Interval(0, 1))
+        assert F(0) not in IntervalSet()
+
+    def test_membership_is_half_open(self):
+        assert [t in self.S for t in (-1, 0, 1, 2, 3, 4, 6, 8, F(19, 2), 10)] \
+            == [False, True, True, False, False, True, False, True, True, False]
+
+    @settings(deadline=None)
+    @given(sets_and_windows())
+    def test_within_is_intersect_with_the_window(self, case):
+        s, window = case
+        inside = s.within(window)
+        assert_normalized(inside)
+        assert inside == IntervalSet((window,)).intersect(s)
+
+    @settings(deadline=None)
+    @given(sets_and_windows())
+    def test_meets_is_a_nonempty_intersection(self, case):
+        s, window = case
+        assert s.meets(window) == bool(IntervalSet((window,)).intersect(s))
+
+    @settings(deadline=None)
+    @given(sets_and_windows())
+    def test_membership_is_the_linear_scan(self, case):
+        s, window = case
+        for t in sample_points(s, IntervalSet((window,))):
+            assert (t in s) == any(iv.start <= t < iv.end for iv in s)
 
 
 class TestMeasure:

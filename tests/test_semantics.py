@@ -31,7 +31,7 @@ from loveline import (
     love_state_at,
     tick_oracle,
 )
-from loveline import semantics
+from loveline import intervals, semantics
 from loveline.model import Config
 from loveline.parser import parse_document
 from loveline.semantics import MAX_ORACLE_TICKS
@@ -358,6 +358,27 @@ class TestPairCache:
         gone = dataclasses.replace(timeline_a, acquaintances=())
         assert evaluate("sally", "john", WINDOW, F(1), gone).s == 0
 
+    def test_a_warm_query_does_no_merge(self, timeline_a, monkeypatch):
+        # Once the pair record exists, a window is answered by bisection over
+        # its love set: neither evaluate nor explain re-sorts a member list.
+        merges = []
+        merge = intervals._merge
+
+        def counting_merge(members):
+            merges.append(members)
+            return merge(members)
+
+        monkeypatch.setattr(intervals, "_merge", counting_merge)
+        assert evaluate("sally", "john", WINDOW, F(1), timeline_a).s == 4
+        assert merges
+        merges.clear()
+        window = Interval(F(4), F(9))
+        verdict = evaluate("sally", "john", window, F(1), timeline_a)
+        trace = explain("sally", "john", window, F(1), timeline_a)
+        assert merges == []
+        assert verdict.love_events == iset((4, 7))
+        assert trace.verdict == verdict and trace.first_failure is None
+
     def test_explain_stage_agrees_with_evaluate_on_every_fixture_query(self):
         seen = 0
         for path in sorted(FIXTURE_DIR.glob("*.love")):
@@ -458,10 +479,11 @@ class TestTickOracle:
 # built from.
 PRODUCTION_NAMES = frozenset({
     "_index_of", "_PairIndex", "_pair_index", "_merged", "_signals_of",
-    "PairSignals", "signals", "inhibit", "_meets", "evaluate",
+    "PairSignals", "signals", "inhibit", "evaluate",
     "condition_i_signal", "condition_ii_components", "inhibition_mask",
     "acquaintance_onset",
-    "union", "intersect", "difference", "clip_from",
+    "union", "intersect", "difference", "clip_from", "within", "meets",
+    "_normalized",
 })
 
 
