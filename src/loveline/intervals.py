@@ -70,7 +70,7 @@ class IntervalSet:
     and hashing therefore coincide with point-set equality. Operations
     whose result is already normalized (``within``, ``intersect``,
     ``difference``, ``clip_from``) skip the merge; the sorted members also
-    let ``within``, ``meets`` and membership find a point by bisection.
+    let ``within`` and ``meets`` find a window's edges by bisection.
     """
 
     intervals: tuple[Interval, ...] = ()
@@ -93,10 +93,7 @@ class IntervalSet:
         return iter(self.intervals)
 
     def __contains__(self, t: Rational) -> bool:
-        # Only the first member ending after t can hold it.
-        members = self.intervals
-        i = bisect_right(members, t, key=_END)
-        return i < len(members) and members[i].start <= t
+        return any(t in iv for iv in self.intervals)
 
     def __str__(self) -> str:
         """Render as ``[a,b)+[c,d)``; empty sets render as an empty string."""

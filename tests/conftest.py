@@ -1,11 +1,9 @@
 from __future__ import annotations
 
-import os
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import settings
 
 from loveline import (
     AcquaintanceRecord,
@@ -16,13 +14,6 @@ from loveline import (
     Valence,
     ValueJudgment,
 )
-
-# CI runners (GitHub Actions sets CI) run every property test on the same
-# examples and without a per-example deadline, so a slow runner cannot fail
-# one on time and a CI failure reproduces locally with CI=1.
-settings.register_profile("ci", deadline=None, derandomize=True)
-if os.environ.get("CI"):
-    settings.load_profile("ci")
 
 FIXTURE_DIR = Path(__file__).parent / "fixtures"
 

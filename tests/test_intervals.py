@@ -187,7 +187,7 @@ class TestComplementWithin:
 
 
 class TestWithin:
-    """Bisection for a window and for a point against the linear readings."""
+    """Bisection for a window against the linear reading."""
 
     S = iset((0, 2), (4, 6), (8, 10))
 
@@ -225,13 +225,6 @@ class TestWithin:
     def test_meets_is_a_nonempty_intersection(self, case):
         s, window = case
         assert s.meets(window) == bool(IntervalSet((window,)).intersect(s))
-
-    @settings(deadline=None)
-    @given(sets_and_windows())
-    def test_membership_is_the_linear_scan(self, case):
-        s, window = case
-        for t in sample_points(s, IntervalSet((window,))):
-            assert (t in s) == any(iv.start <= t < iv.end for iv in s)
 
 
 class TestMeasure:
