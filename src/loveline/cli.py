@@ -8,8 +8,9 @@ evaluator against the brute-force tick oracle).
 Exit codes: 0 success; 1 verdict-level failure (diagnostics present,
 unreadable file, a result too long to print, query index out of range,
 oracle mismatch or ``E_GRANULARITY``); 2 usage error. Query results go to
-stdout, diagnostics and errors to stderr. Output is byte-deterministic for
-identical inputs.
+stdout, diagnostics and errors to stderr, and :func:`main` is the only
+writer of either (argparse's usage errors aside). Output is
+byte-deterministic for identical inputs.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import json
 import sys
 from argparse import ArgumentParser, ArgumentTypeError, Namespace
 from fractions import Fraction
-from typing import Callable, Sequence, TextIO, TypeVar
+from typing import Callable, Sequence, TypeVar
 
 from .diagnostics import LovelineError
 from .intervals import format_rational
@@ -36,11 +37,14 @@ class _Failure(Exception):
 
 def _guarded(n: int, step: Callable[[], _T]) -> _T:
     """Run query ``n``'s ``step``, raising :class:`_Failure` when it
+    raises a :class:`LovelineError` (the oracle's ``E_GRANULARITY``) or
     hits Python's int/str conversion limit (sys.get_int_max_str_digits):
     an exact ``s``, ``c`` or oracle tick count can have more digits than
     any literal in the input."""
     try:
         return step()
+    except LovelineError as exc:
+        raise _Failure(f"{exc.code}: {exc}") from None
     except ValueError:
         raise _Failure(
             f"query {n}: a result has more than "
@@ -97,27 +101,17 @@ def _build_parser() -> ArgumentParser:
     return parser
 
 
-def _load(path: str, err: TextIO) -> Timeline | None:
+def _read(path: str) -> str:
     try:
         with open(path, "rb") as handle:
-            data = handle.read()
-        text = data.decode("utf-8-sig")
+            return handle.read().decode("utf-8")
     except OSError as exc:
-        print(f"loveline: cannot read {path}: {exc.strerror}", file=err)
-        return None
+        raise _Failure(f"cannot read {path}: {exc.strerror}") from None
     except UnicodeDecodeError as exc:
-        # exc.object leaves out a leading byte-order mark; count it back in.
-        offset = len(data) - len(exc.object) + exc.start
-        byte = exc.object[exc.start]
-        print(f"loveline: cannot read {path}: not UTF-8 (byte 0x{byte:02x} "
-              f"at offset {offset})", file=err)
-        return None
-    result = parse_document(text)
-    if result.diagnostics:
-        for diag in result.diagnostics:
-            print(diag.render(path), file=err)
-        return None
-    return result.timeline
+        raise _Failure(
+            f"cannot read {path}: not UTF-8 (byte 0x{exc.object[exc.start]:02x} "
+            f"at offset {exc.start})"
+        ) from None
 
 
 def _asked(query: QuerySpec, timeline: Timeline) -> tuple:
@@ -205,10 +199,7 @@ def _cmd_oracle(timeline: Timeline, args: Namespace) -> tuple[int, str]:
     for n, query in enumerate(timeline.queries, start=1):
         asked = _asked(query, timeline)
         fast = evaluate(*asked)
-        try:
-            slow = _guarded(n, lambda: tick_oracle(*asked, args.granularity))
-        except LovelineError as exc:
-            raise _Failure(f"{exc.code}: {exc}") from None
+        slow = _guarded(n, lambda: tick_oracle(*asked, args.granularity))
         if (fast.holds, fast.s, fast.c) != (slow.holds, slow.s, slow.c):
             mismatches.append(
                 f"mismatch {_query_line(query, fast)} "
@@ -220,11 +211,13 @@ def _cmd_oracle(timeline: Timeline, args: Namespace) -> tuple[int, str]:
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     # The streams are looked up per call, so a caller's redirect holds.
-    timeline = _load(args.file, sys.stderr)
-    if timeline is None:
-        return 1
     try:
-        status, text = args.run(timeline, args)
+        result = parse_document(_read(args.file))
+        if result.diagnostics:
+            for diag in result.diagnostics:
+                print(diag.render(args.file), file=sys.stderr)
+            return 1
+        status, text = args.run(result.timeline, args)
     except _Failure as exc:
         print(f"loveline: {exc}", file=sys.stderr)
         return 1

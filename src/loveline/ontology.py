@@ -300,11 +300,7 @@ def project_timeline(timeline: Timeline) -> OntologyGraph:
                 RelationAssertion(RelationKind.IS_ABOUT, ice_id, target.correlate)
             )
 
-    inhibitors: list[str] = []
-    for inh in timeline.inhibitions:
-        if inh.agent not in inhibitors:
-            inhibitors.append(inh.agent)
-    for agent in inhibitors:
+    for agent in dict.fromkeys(inh.agent for inh in timeline.inhibitions):
         disp_id = f"inhib:{agent}"
         individuals.append(
             Individual(

@@ -15,7 +15,8 @@ whitespace between tokens is free. The statements:
 with ``IVL := "[" RAT "," RAT ")"`` and ``SET := IVL { "+" IVL }``.
 Rationals are integers, fractions like ``3/4``, or exact decimals. The
 header ``# loveline v1`` is optional; a first non-blank line naming any
-other version is an error.
+other version is an error. One leading byte-order mark (U+FEFF) is
+dropped, so it neither breaks the first statement nor hides the header.
 
 :data:`_GRAMMAR` is the single source of the statement shapes: for each
 head word it gives the record class, the positional part and the
@@ -490,6 +491,7 @@ def parse_document(text: str) -> ParseResult:
     records: dict[str, list] = {head: [] for head in _GRAMMAR}
     config: dict[str, Fraction] = {}
     seeking_header = True
+    text = text.removeprefix("\ufeff")
     # Lines end at LF only (str.splitlines also ends them at U+2028, U+0085,
     # form feed and more); one CR before the LF is dropped.
     for line_no, raw in enumerate(text.split("\n"), start=1):

@@ -87,7 +87,9 @@ def test_oracle_equivalence_on_randomized_timelines():
         slow = tick_oracle(
             subject, object_, window, threshold, timeline, Fraction(1)
         )
-        if (fast.holds, fast.s, fast.c) != (slow.holds, slow.s, slow.c):
+        if (fast.holds, fast.s, fast.c, fast.love_events) != (
+            slow.holds, slow.s, slow.c, slow.love_events
+        ):
             mismatches.append(
                 (case, subject, object_, str(window), str(threshold))
             )

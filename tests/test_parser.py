@@ -255,6 +255,27 @@ class TestHeader:
         assert len(diag.message) < 120
 
 
+class TestByteOrderMark:
+    @pytest.mark.parametrize("name", ["timeline_a.love", "mixed.love"])
+    def test_one_leading_mark_is_dropped(self, name):
+        text = (FIXTURE_DIR / name).read_text(encoding="utf-8")
+        plain, marked = parse_document(text), parse_document("\ufeff" + text)
+        assert marked.diagnostics == ()
+        assert repr(marked.statements) == repr(plain.statements)
+
+    def test_mark_does_not_hide_the_header(self):
+        [diag] = parse_document("\ufeff# loveline v2\nagent a\n").diagnostics
+        assert diag.render("f.love") == (
+            "f.love:1:12: E_SYNTAX: unsupported format version 'v2' "
+            "(expected '# loveline v1')"
+        )
+
+    def test_a_second_mark_is_an_unexpected_character(self):
+        [diag] = parse_document("\ufeff\ufeffagent a\n").diagnostics
+        assert (diag.code, diag.line, diag.column) == ("E_SYNTAX", 1, 1)
+        assert diag.message == "unexpected character '\\ufeff'"
+
+
 class TestDiagnostics:
     def test_overlong_literal_reports_its_line(self):
         text = f"agent a\nagent b\nacquaintance a b at {'1' * 5000}\n"
