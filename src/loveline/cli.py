@@ -200,7 +200,7 @@ def _cmd_oracle(timeline: Timeline, args: Namespace) -> tuple[int, str]:
         asked = _asked(query, timeline)
         fast = evaluate(*asked)
         slow = _guarded(n, lambda: tick_oracle(*asked, args.granularity))
-        if (fast.holds, fast.s, fast.c) != (slow.holds, slow.s, slow.c):
+        if fast != slow:
             mismatches.append(
                 f"mismatch {_query_line(query, fast)} "
                 f"!= oracle {_outcome(slow)}\n"

@@ -110,12 +110,6 @@ class Timeline:
     inhibitions: tuple[InhibitionEpisode, ...] = ()
     queries: tuple[QuerySpec, ...] = ()
     config: Config = field(default_factory=Config)
-    # Evaluation index that the semantics module builds on first use. It is
-    # not part of the value: it never enters equality, hashing or repr, and
-    # dataclasses.replace gives the new timeline an empty one.
-    _pair_index: object = field(
-        default=None, init=False, compare=False, repr=False
-    )
 
 
 def _duplicate_id(record_id: str, first: str, **where) -> Diagnostic:

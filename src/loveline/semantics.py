@@ -112,9 +112,9 @@ class _PairIndex:
 
 
 def _index_of(timeline: Timeline) -> _PairIndex:
-    # Timeline is immutable, so an index built once stays valid; the field
-    # is excluded from equality, hashing and dataclasses.replace.
-    index = timeline._pair_index
+    # An immutable timeline's index stays valid. It is an attribute, not a
+    # field, so equality, hashing, repr and every dataclasses helper skip it.
+    index = getattr(timeline, "_pair_index", None)
     if index is None:
         index = _PairIndex(timeline)
         object.__setattr__(timeline, "_pair_index", index)

@@ -19,8 +19,10 @@ from hypothesis import given, settings, strategies as st
 from loveline import (
     GranularityError,
     format_rational,
+    Interval,
     IntervalSet,
     Verdict,
+    evaluate,
     export_graph,
     parse_document,
     project_timeline,
@@ -310,6 +312,26 @@ class TestOracle:
             "!= oracle HOLDS s=5 c=5\n"
         )
 
+    def test_love_events_alone_are_a_mismatch(self, capsys, monkeypatch):
+        # The oracle agrees on s and c but puts the love events at [4,8)
+        # instead of [3,7): the verdicts differ, so the run fails.
+        def oracle(*args):
+            return dataclasses.replace(
+                evaluate(*args[:5]),
+                love_events=IntervalSet((Interval(Fraction(4), Fraction(8)),)),
+            )
+
+        monkeypatch.setattr("loveline.cli.tick_oracle", oracle)
+        code, out, err = run_main(
+            "oracle", fx("timeline_a.love"), "--granularity", "1",
+            capsys=capsys,
+        )
+        assert (code, err) == (1, "")
+        assert out == (
+            "mismatch loves(sally,john) over [0,10) T=1: FAILS s=4 c=6 "
+            "!= oracle FAILS s=4 c=6\n"
+        )
+
     def test_failure_after_a_mismatch_prints_nothing_on_stdout(
         self, capsys, monkeypatch
     ):
@@ -561,7 +583,7 @@ class TestModuleEntryPoint:
         result = subprocess.run(
             [sys.executable, "-m", "loveline", "eval", fx("timeline_a.love")],
             capture_output=True,
-            text=True,
+            encoding="utf-8",
         )
         assert result.returncode == 0
         code, out, _ = run_main("eval", fx("timeline_a.love"), capsys=capsys)

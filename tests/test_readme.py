@@ -4,16 +4,20 @@ The ``example.love`` document is written to a temporary directory, every
 ``$ loveline ...`` command in a shell block runs through ``cli.main`` there
 and must print exactly the lines below it, the JSON example must be what
 ``eval --format json`` prints for that document, the Python blocks run
-in order in one namespace, and the ``oracle`` usage messages README quotes
-are the ones argparse prints.
+in order in one namespace, also in a strict interpreter that rejects
+reads in the locale's encoding and reports unclosed files, and the
+``oracle`` usage messages README quotes are the ones argparse prints.
 """
 
 from __future__ import annotations
 
 import contextlib
 import io
+import os
 import re
 import shlex
+import subprocess
+import sys
 import textwrap
 from pathlib import Path
 
@@ -94,6 +98,21 @@ def test_library_examples_run(example_dir):
     for block in _blocks("python"):
         with contextlib.redirect_stdout(io.StringIO()):
             exec(compile(block, str(README), "exec"), namespace)
+
+
+def test_library_examples_name_their_encoding_and_close_their_files(
+    example_dir,
+):
+    # Development mode reports an unclosed file as a ResourceWarning on
+    # stderr, and a read in the locale's encoding raises EncodingWarning.
+    script = "\n".join(_blocks("python"))
+    env = dict(os.environ, PYTHONPATH=str(README.parent / "src"))
+    result = subprocess.run(
+        [sys.executable, "-X", "warn_default_encoding",
+         "-W", "error::EncodingWarning", "-X", "dev", "-c", script],
+        capture_output=True, env=env,
+    )
+    assert (result.returncode, result.stderr) == (0, b"")
 
 
 @pytest.mark.parametrize("flag, message", [

@@ -348,11 +348,35 @@ class TestPairCache:
         assert hash(used) == hash(twin)
         assert repr(used) == repr(twin)
 
+    def test_the_index_is_not_a_dataclass_field(self):
+        assert [f.name for f in dataclasses.fields(Timeline)] == [
+            "agents", "acquaintances", "sensations", "judgments",
+            "inhibitions", "queries", "config",
+        ]
+
+    def test_asdict_of_an_evaluated_timeline_equals_a_fresh_one(self):
+        seen = 0
+        for path in sorted(FIXTURE_DIR.glob("*.love")):
+            text = path.read_text(encoding="utf-8")
+            used = parse_document(text).timeline
+            if used is None or not used.queries:
+                continue
+            for q in used.queries:
+                threshold = (used.config.threshold_default
+                             if q.threshold is None else q.threshold)
+                evaluate(q.subject, q.object, q.interval, threshold, used)
+                seen += 1
+            assert getattr(used, "_pair_index", None) is not None
+            fresh = parse_document(text).timeline
+            assert dataclasses.asdict(used) == dataclasses.asdict(fresh)
+            assert dataclasses.astuple(used) == dataclasses.astuple(fresh)
+        assert seen >= 7
+
     def test_replace_starts_with_an_empty_cache(self, timeline_a):
         assert evaluate("sally", "john", WINDOW, F(1), timeline_a).s == 4
         moved = dataclasses.replace(timeline_a, acquaintances=(
             AcquaintanceRecord("sally", "john", F(5)),))
-        assert moved._pair_index is None
+        assert getattr(moved, "_pair_index", None) is None
         assert evaluate("sally", "john", WINDOW, F(1), moved).s == 2
         assert acquaintance_onset("sally", "john", moved) == 5
         gone = dataclasses.replace(timeline_a, acquaintances=())
