@@ -201,10 +201,11 @@ def _cmd_oracle(timeline: Timeline, args: Namespace) -> tuple[int, str]:
         fast = evaluate(*asked)
         slow = _guarded(n, lambda: tick_oracle(*asked, args.granularity))
         if fast != slow:
-            mismatches.append(
-                f"mismatch {_query_line(query, fast)} "
-                f"!= oracle {_outcome(slow)}\n"
-            )
+            ours, theirs = _query_line(query, fast), _outcome(slow)
+            if fast.love_events != slow.love_events:
+                ours += f" love_events={_format_set(fast.love_events)}"
+                theirs += f" love_events={_format_set(slow.love_events)}"
+            mismatches.append(f"mismatch {ours} != oracle {theirs}\n")
     return (1 if mismatches else 0), "".join(mismatches)
 
 

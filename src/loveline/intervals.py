@@ -143,20 +143,20 @@ class IntervalSet:
         return IntervalSet._normalized(tuple(out))
 
     def difference(self, other: "IntervalSet") -> "IntervalSet":
-        """Points of ``self`` not in ``other``."""
+        """Points of ``self`` not in ``other``, in one pass over each: the
+        cursor into ``other`` only moves forward."""
         out: list[Interval] = []
+        cuts, j = other.intervals, 0
         for iv in self.intervals:
             cursor = iv.start
-            for cut in other.intervals:
-                if cut.end <= cursor:
-                    continue
-                if cut.start >= iv.end:
-                    break
+            while j < len(cuts) and cuts[j].start < iv.end:
+                cut = cuts[j]
                 if cut.start > cursor:
                     out.append(Interval(cursor, cut.start))
                 cursor = max(cursor, cut.end)
                 if cursor >= iv.end:
-                    break
+                    break  # this cut may also cover the next member
+                j += 1
             if cursor < iv.end:
                 out.append(Interval(cursor, iv.end))
         return IntervalSet._normalized(tuple(out))
@@ -176,7 +176,12 @@ _END = attrgetter("end")
 
 
 def _merge(intervals: Iterable[Interval]) -> tuple[Interval, ...]:
-    ordered = sorted(intervals, key=lambda iv: (iv.start, iv.end))
+    members = tuple(intervals)
+    # Members already ascending with a gap between neighbours, such as any
+    # one-member extent, are returned as they are, without a sort.
+    if all(a.end < b.start for a, b in zip(members, members[1:])):
+        return members
+    ordered = sorted(members, key=lambda iv: (iv.start, iv.end))
     out: list[Interval] = []
     for iv in ordered:
         # "start <= last.end" merges overlaps and abutting neighbours alike.

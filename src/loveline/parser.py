@@ -32,7 +32,9 @@ Each line is read one of two ways, with the same result:
 * every other line (fields out of order, other spacing, or any defect)
   takes the token-by-token reader, :func:`_parse_statement`;
 * diagnostics come only from that reader: a line the fast path cannot
-  match or convert is handed to it unchanged.
+  match or convert is handed to it unchanged;
+* both readers convert each distinct rational and span text once per
+  document, keeping only successes (:func:`_rational_of`).
 
 One loop reads each line and files its statement into the timeline;
 :func:`validate_timeline` resolves identifier references after the last
@@ -115,6 +117,31 @@ def _to_fraction(text: str) -> Fraction:
         raise DslSyntaxError(
             f"rational of {len(text)} characters has too many digits"
         ) from None
+
+
+def _rational_of(text: str, memo: dict) -> Fraction:
+    """``_to_fraction(text)``, converted once per document.
+
+    ``memo`` is the document's own dict of converted texts, which
+    :func:`parse_document` creates and drops. Only successes are kept, so
+    a defective text fails, and is diagnosed, at every line it is on.
+    """
+    value = memo.get(text)
+    if value is None:
+        value = memo[text] = _to_fraction(text)
+    return value
+
+
+def _span_of(inner: str, memo: dict) -> Interval:
+    """Read ``a,b``, an interval without its brackets, once per document.
+    Its key holds a comma, so it never meets a rational's in ``memo``."""
+    value = memo.get(inner)
+    if value is None:
+        start, end = inner.split(",")
+        value = memo[inner] = Interval(
+            _rational_of(start, memo), _rational_of(end, memo)
+        )
+    return value
 
 
 @dataclass(frozen=True)
@@ -202,9 +229,10 @@ _EXPECTED = {"ident": "an identifier", "number": "a rational"}
 
 
 class _Cursor:
-    def __init__(self, tokens: list[_Token]):
+    def __init__(self, tokens: list[_Token], memo: dict):
         self._tokens = tokens
         self._pos = 0
+        self.memo = memo
 
     def at_end(self) -> bool:
         return self._pos >= len(self._tokens)
@@ -238,7 +266,7 @@ class _Cursor:
 def _rational(cur: _Cursor) -> Fraction:
     token = cur.take("number")
     try:
-        return _to_fraction(token.text)
+        return _rational_of(token.text, cur.memo)
     except DslSyntaxError as exc:
         raise _StatementError(str(exc), token.column) from None
 
@@ -273,23 +301,18 @@ def _one_of(cur: _Cursor, options: Iterable[str]) -> str:
     return token.text
 
 
-def _load_interval(inner: str) -> Interval:
-    """Read ``a,b``, an interval without its brackets."""
-    start, end = inner.split(",")
-    return Interval(_to_fraction(start), _to_fraction(end))
-
-
 class _Kind(NamedTuple):
     """How a value is read from a statement and written back.
 
     ``pattern`` is the regex the fast path matches the value's text with,
-    and ``load`` turns that text into the value (``None`` keeps the text).
+    and ``load`` turns that text and the document's memo (see
+    :func:`_rational_of`) into the value (``None`` keeps the text).
     """
 
     read: Callable[[_Cursor], object]
     write: Callable[[object], str]
     pattern: str
-    load: Callable[[str], object] | None = None
+    load: Callable[[str, dict], object] | None = None
 
 
 # ``set`` keys and the Config fields they set.
@@ -299,19 +322,23 @@ _VALENCES = tuple(valence.value for valence in Valence)
 _SPAN = rf"\[{_NUMBER},{_NUMBER}\)"
 
 _IDENT = _Kind(lambda cur: cur.take("ident").text, str, r"[a-z][a-z0-9_]*")
-_RATIONAL = _Kind(_rational, format_rational, _NUMBER, _to_fraction)
-_INTERVAL = _Kind(_interval, str, _SPAN, lambda text: _load_interval(text[1:-1]))
+_RATIONAL = _Kind(_rational, format_rational, _NUMBER, _rational_of)
+_INTERVAL = _Kind(
+    _interval, str, _SPAN, lambda text, memo: _span_of(text[1:-1], memo)
+)
 _EXTENT = _Kind(
     _extent,
     str,
     rf"{_SPAN}(?:\+{_SPAN})*",
-    lambda text: IntervalSet(tuple(map(_load_interval, text[1:-1].split(")+[")))),
+    lambda text, memo: IntervalSet(
+        tuple(_span_of(span, memo) for span in text[1:-1].split(")+["))
+    ),
 )
 _VALENCE = _Kind(
     lambda cur: Valence(_one_of(cur, _VALENCES)),
     lambda valence: valence.value,
     "|".join(_VALENCES),
-    Valence,
+    lambda text, memo: Valence(text),
 )
 _SET_KEY = _Kind(
     lambda cur: _one_of(cur, _CONFIG_FIELDS), str, "|".join(_CONFIG_FIELDS)
@@ -418,7 +445,7 @@ def _fast(head: str, shape: _Shape) -> _Fast:
 _FAST = {head: _fast(head, shape) for head, shape in _GRAMMAR.items()}
 
 
-def _fast_statement(line: str) -> Statement | None:
+def _fast_statement(line: str, memo: dict) -> Statement | None:
     """Read a well-formed line whose fields are in canonical order, or
     return ``None`` so that :func:`_parse_statement` reads it instead."""
     fast = _FAST.get(line.partition(" ")[0])
@@ -431,13 +458,13 @@ def _fast_statement(line: str) -> Statement | None:
     try:
         for name, load, default in fast.loads:
             text = values[name]
-            values[name] = default if text is None else load(text)
+            values[name] = default if text is None else load(text, memo)
     except (DslSyntaxError, EmptyIntervalError):
         return None
     return fast.record(**values)
 
 
-def _parse_statement(line: str) -> Statement | None:
+def _parse_statement(line: str, memo: dict) -> Statement | None:
     """Read one line's statement; ``None`` for a blank or comment line."""
     tokens = _tokenize(line.split("#", 1)[0])
     if not tokens:
@@ -446,7 +473,7 @@ def _parse_statement(line: str) -> Statement | None:
     shape = _GRAMMAR.get(head.text)
     if shape is None:
         raise _StatementError(f"unknown directive {_quoted(head.text)}", head.column)
-    cur = _Cursor(tokens)
+    cur = _Cursor(tokens, memo)
     cur.take("ident", head.text)
     values: dict[str, object] = {}
     for part in shape.positional:
@@ -490,6 +517,8 @@ def parse_document(text: str) -> ParseResult:
     declared: dict[str, str] = {}
     records: dict[str, list] = {head: [] for head in _GRAMMAR}
     config: dict[str, Fraction] = {}
+    # Each distinct rational and span text, converted once for this document.
+    memo: dict[str, object] = {}
     seeking_header = True
     text = text.removeprefix("\ufeff")
     # Lines end at LF only (str.splitlines also ends them at U+2028, U+0085,
@@ -511,10 +540,10 @@ def parse_document(text: str) -> ParseResult:
                         column=header.start(1),
                     )
                 )
-        statement = _fast_statement(raw)
+        statement = _fast_statement(raw, memo)
         if statement is None:
             try:
-                statement = _parse_statement(raw)
+                statement = _parse_statement(raw, memo)
             except _StatementError as exc:
                 diags.append(
                     Diagnostic(exc.code, exc.message, line=line_no, column=exc.column)

@@ -309,7 +309,7 @@ class TestOracle:
         assert (code, err) == (1, "")
         assert out == (
             "mismatch loves(sally,john) over [0,10) T=1: FAILS s=4 c=6 "
-            "!= oracle HOLDS s=5 c=5\n"
+            "love_events=[3,7) != oracle HOLDS s=5 c=5 love_events=(empty)\n"
         )
 
     def test_love_events_alone_are_a_mismatch(self, capsys, monkeypatch):
@@ -329,7 +329,7 @@ class TestOracle:
         assert (code, err) == (1, "")
         assert out == (
             "mismatch loves(sally,john) over [0,10) T=1: FAILS s=4 c=6 "
-            "!= oracle FAILS s=4 c=6\n"
+            "love_events=[3,7) != oracle FAILS s=4 c=6 love_events=[4,8)\n"
         )
 
     def test_failure_after_a_mismatch_prints_nothing_on_stdout(

@@ -276,6 +276,68 @@ class TestByteOrderMark:
         assert diag.message == "unexpected character '\\ufeff'"
 
 
+class TestConversionPerDocument:
+    """Each distinct rational text is converted once per document, on the
+    fast path and the token reader alike; failures are not kept."""
+
+    TEXT = (
+        "agent a\n"
+        "agent b\n"
+        "acquaintance a b at 0\n"
+        "sensation s1 bearer=a correlate=b valence=positive intensity=1/2 "
+        "extent=[0,1/2)+[1,2)\n"
+        "sensation s2 bearer=a correlate=b valence=positive intensity=1/2 "
+        "extent=[0,1/2)\n"
+        # Spaced out, so the token reader reads it.
+        "judgment j1 agent=a target=s1 extent=[ 0 , 2 )\n"
+        "query loves a b interval=[0,2) threshold=1/2\n"
+    )
+
+    @staticmethod
+    def counted(monkeypatch) -> list[str]:
+        calls: list[str] = []
+        convert = parser._to_fraction
+
+        def counting(text: str) -> Fraction:
+            calls.append(text)
+            return convert(text)
+
+        monkeypatch.setattr(parser, "_to_fraction", counting)
+        return calls
+
+    def test_once_per_distinct_text(self, monkeypatch):
+        calls = self.counted(monkeypatch)
+        result = parse_document(self.TEXT)
+        assert result.diagnostics == ()
+        assert sorted(calls) == ["0", "1", "1/2", "2"]
+        assert result.timeline == parse_document(self.TEXT).timeline
+
+    def test_a_second_document_starts_afresh(self, monkeypatch):
+        calls = self.counted(monkeypatch)
+        parse_document(self.TEXT)
+        parse_document(self.TEXT)
+        assert sorted(calls) == sorted(["0", "1", "1/2", "2"] * 2)
+
+    def test_repeated_defects_are_diagnosed_at_every_line(self, monkeypatch):
+        calls = self.counted(monkeypatch)
+        result = parse_document(
+            "agent a\n"
+            "agent b\n"
+            "judgment j1 agent=a target=b extent=[1/0,2)\n"
+            "judgment j2 agent=a target=b extent=[1/0,2)\n"
+            "judgment j3 agent=a target=b extent=[2,1)\n"
+            "judgment j4 agent=a target=b extent=[2,1)\n"
+        )
+        assert [d.render("f.love") for d in result.diagnostics] == [
+            "f.love:3:38: E_SYNTAX: zero denominator in '1/0'",
+            "f.love:4:38: E_SYNTAX: zero denominator in '1/0'",
+            "f.love:5:37: E_EMPTY_INTERVAL: interval [2,1) has no positive measure",
+            "f.love:6:37: E_EMPTY_INTERVAL: interval [2,1) has no positive measure",
+        ]
+        # '1/0' fails on both readers of both lines; '2' and '1' convert once.
+        assert sorted(calls) == ["1", "1/0", "1/0", "1/0", "1/0", "2"]
+
+
 class TestDiagnostics:
     def test_overlong_literal_reports_its_line(self):
         text = f"agent a\nagent b\nacquaintance a b at {'1' * 5000}\n"
@@ -726,7 +788,7 @@ def _diff_line(draw) -> str:
 
 
 def _slow_only_parse(text: str):
-    with mock.patch.object(parser, "_fast_statement", lambda line: None):
+    with mock.patch.object(parser, "_fast_statement", lambda line, memo: None):
         return parse_document(text)
 
 
@@ -735,9 +797,9 @@ def _slow_only_parse(text: str):
 def test_fast_path_agrees_with_the_token_reader(lines):
     text = "\n".join(lines)
     for line in text.split("\n"):
-        fast = parser._fast_statement(line)
+        fast = parser._fast_statement(line, {})
         if fast is not None:
-            assert repr(fast) == repr(parser._parse_statement(line))
+            assert repr(fast) == repr(parser._parse_statement(line, {}))
     fast_doc, slow_doc = parse_document(text), _slow_only_parse(text)
     assert repr(fast_doc.statements) == repr(slow_doc.statements)
     assert fast_doc.diagnostics == slow_doc.diagnostics
@@ -761,9 +823,9 @@ def test_fast_path_agrees_with_the_token_reader(lines):
     "query loves a b interval=[0,10)",
 ])
 def test_canonical_lines_take_the_fast_path(line):
-    fast = parser._fast_statement(line)
+    fast = parser._fast_statement(line, {})
     assert fast is not None
-    assert repr(fast) == repr(parser._parse_statement(line))
+    assert repr(fast) == repr(parser._parse_statement(line, {}))
 
 
 @pytest.mark.parametrize("line", [
@@ -782,13 +844,13 @@ def test_canonical_lines_take_the_fast_path(line):
     "agent\ta",
 ])
 def test_other_lines_fall_back_to_the_token_reader(line):
-    assert parser._fast_statement(line) is None
+    assert parser._fast_statement(line, {}) is None
 
 
 def test_every_serialized_statement_takes_the_fast_path():
     for path in sorted(FIXTURE_DIR.glob("*.love")):
         statements = parse_path(path.name).statements
         lines = serialize_document(statements).splitlines()[1:]
-        assert [repr(parser._fast_statement(line)) for line in lines] == [
+        assert [repr(parser._fast_statement(line, {})) for line in lines] == [
             repr(statement) for statement in statements
         ]
