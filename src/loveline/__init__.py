@@ -8,8 +8,6 @@ of love events against its complement. The package also types timelines
 against a small upper-ontology schema and exports the resulting graph.
 """
 
-from importlib import import_module
-
 from .diagnostics import (
     Diagnostic,
     EmptyIntervalError,
@@ -34,6 +32,17 @@ from .model import (
     ValueJudgment,
     validate_timeline,
 )
+from .ontology import (
+    BfoClass,
+    Individual,
+    OntologyGraph,
+    RelationAssertion,
+    RelationKind,
+    check_subclass,
+    export_graph,
+    project_timeline,
+    validate,
+)
 from .parser import (
     AgentDecl,
     ParseResult,
@@ -42,37 +51,19 @@ from .parser import (
     parse_rational,
     serialize_document,
 )
-
-# Evaluation and the ontology load on first use (PEP 562), so importing the
-# package and parsing a document run only the four modules above. Each entry
-# names the submodule that defines the attribute; a submodule names itself.
-_LAZY = {
-    **dict.fromkeys(
-        ("ontology", "BfoClass", "Individual", "OntologyGraph",
-         "RelationAssertion", "RelationKind", "check_subclass", "export_graph",
-         "project_timeline", "validate"),
-        "ontology",
-    ),
-    **dict.fromkeys(
-        ("semantics", "PairSignals", "Trace", "Verdict", "acquaintance_onset",
-         "condition_i_signal", "condition_ii_components", "evaluate",
-         "explain", "inhibition_mask", "love_state_at", "tick_oracle"),
-        "semantics",
-    ),
-}
-
-
-def __getattr__(name: str) -> object:
-    owner = _LAZY.get(name)
-    if owner is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    module = import_module(f"{__name__}.{owner}")
-    return module if name == owner else getattr(module, name)
-
-
-def __dir__() -> list[str]:
-    return sorted({*globals(), *_LAZY})
-
+from .semantics import (
+    PairSignals,
+    Trace,
+    Verdict,
+    acquaintance_onset,
+    condition_i_signal,
+    condition_ii_components,
+    evaluate,
+    explain,
+    inhibition_mask,
+    love_state_at,
+    tick_oracle,
+)
 
 __all__ = [
     "AcquaintanceRecord",

@@ -176,12 +176,7 @@ _END = attrgetter("end")
 
 
 def _merge(intervals: Iterable[Interval]) -> tuple[Interval, ...]:
-    members = tuple(intervals)
-    # Members already ascending with a gap between neighbours, such as any
-    # one-member extent, are returned as they are, without a sort.
-    if all(a.end < b.start for a, b in zip(members, members[1:])):
-        return members
-    ordered = sorted(members, key=lambda iv: (iv.start, iv.end))
+    ordered = sorted(intervals, key=lambda iv: (iv.start, iv.end))
     out: list[Interval] = []
     for iv in ordered:
         # "start <= last.end" merges overlaps and abutting neighbours alike.

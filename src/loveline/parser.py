@@ -33,8 +33,8 @@ Each line is read one of two ways, with the same result:
   takes the token-by-token reader, :func:`_parse_statement`;
 * diagnostics come only from that reader: a line the fast path cannot
   match or convert is handed to it unchanged;
-* both readers convert each distinct rational and span text once per
-  document, keeping only successes (:func:`_rational_of`).
+* both readers convert each distinct rational text once per document,
+  keeping only successes (:func:`_rational_of`).
 
 One loop reads each line and files its statement into the timeline;
 :func:`validate_timeline` resolves identifier references after the last
@@ -129,18 +129,6 @@ def _rational_of(text: str, memo: dict) -> Fraction:
     value = memo.get(text)
     if value is None:
         value = memo[text] = _to_fraction(text)
-    return value
-
-
-def _span_of(inner: str, memo: dict) -> Interval:
-    """Read ``a,b``, an interval without its brackets, once per document.
-    Its key holds a comma, so it never meets a rational's in ``memo``."""
-    value = memo.get(inner)
-    if value is None:
-        start, end = inner.split(",")
-        value = memo[inner] = Interval(
-            _rational_of(start, memo), _rational_of(end, memo)
-        )
     return value
 
 
@@ -301,6 +289,12 @@ def _one_of(cur: _Cursor, options: Iterable[str]) -> str:
     return token.text
 
 
+def _load_interval(inner: str, memo: dict) -> Interval:
+    """Read ``a,b``, an interval without its brackets."""
+    start, end = inner.split(",")
+    return Interval(_rational_of(start, memo), _rational_of(end, memo))
+
+
 class _Kind(NamedTuple):
     """How a value is read from a statement and written back.
 
@@ -324,14 +318,14 @@ _SPAN = rf"\[{_NUMBER},{_NUMBER}\)"
 _IDENT = _Kind(lambda cur: cur.take("ident").text, str, r"[a-z][a-z0-9_]*")
 _RATIONAL = _Kind(_rational, format_rational, _NUMBER, _rational_of)
 _INTERVAL = _Kind(
-    _interval, str, _SPAN, lambda text, memo: _span_of(text[1:-1], memo)
+    _interval, str, _SPAN, lambda text, memo: _load_interval(text[1:-1], memo)
 )
 _EXTENT = _Kind(
     _extent,
     str,
     rf"{_SPAN}(?:\+{_SPAN})*",
     lambda text, memo: IntervalSet(
-        tuple(_span_of(span, memo) for span in text[1:-1].split(")+["))
+        tuple(_load_interval(span, memo) for span in text[1:-1].split(")+["))
     ),
 )
 _VALENCE = _Kind(
@@ -517,8 +511,8 @@ def parse_document(text: str) -> ParseResult:
     declared: dict[str, str] = {}
     records: dict[str, list] = {head: [] for head in _GRAMMAR}
     config: dict[str, Fraction] = {}
-    # Each distinct rational and span text, converted once for this document.
-    memo: dict[str, object] = {}
+    # Each distinct rational text, converted once for this document.
+    memo: dict[str, Fraction] = {}
     seeking_header = True
     text = text.removeprefix("\ufeff")
     # Lines end at LF only (str.splitlines also ends them at U+2028, U+0085,
