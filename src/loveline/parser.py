@@ -100,16 +100,10 @@ def parse_rational(token: str) -> Fraction:
 
 
 def _to_fraction(text: str) -> Fraction:
-    """Convert a ``_NUMBER`` match: integers and fractions through
-    ``int()``, which is cheaper than ``Fraction(text)``; decimals through
-    ``Fraction(text)``, which reads them exactly."""
-    numerator, _, denominator = text.partition("/")
+    """Convert a ``_NUMBER`` match exactly: ``Fraction`` reads integers,
+    fractions and decimals of ASCII digits as written."""
     try:
-        if denominator:
-            return Fraction(int(numerator), int(denominator))
-        if "." in text:
-            return Fraction(text)
-        return Fraction(int(text))
+        return Fraction(text)
     except ZeroDivisionError:
         raise DslSyntaxError(f"zero denominator in {_quoted(text)}") from None
     except ValueError:

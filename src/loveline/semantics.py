@@ -405,9 +405,8 @@ def tick_oracle(
     assert tick_count.denominator == 1
     if tick_count > MAX_ORACLE_TICKS:
         raise GranularityError(
-            f"granularity {format_rational(granularity)} gives "
-            f"{format_rational(tick_count)} ticks over {interval}, above "
-            f"the cap of {MAX_ORACLE_TICKS}"
+            f"granularity {format_rational(granularity)} over {interval} "
+            f"is above the cap of {MAX_ORACLE_TICKS} ticks"
         )
 
     qualifying = 0

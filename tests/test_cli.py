@@ -471,14 +471,18 @@ class TestDigitLimit:
         assert out.startswith("loves(a,b) over [5,6) T=1: FAILS s=0 c=1\n")
 
     def test_oracle_tick_count_over_the_limit(self, capsys, tmp_path):
-        # 10**8000 ticks: over the cap, and too long for the cap's message.
+        # 10**8000 ticks: over the cap, and too many digits to print. The
+        # failure is the cap, so the message names the cap, not the count.
         path = tmp_path / "wide.love"
         path.write_text(f"agent a\nagent b\nquery loves a b "
                         f"interval=[0,{10**4000})\n", encoding="utf-8")
         code, out, err = run_main("oracle", str(path), "--granularity",
                                   f"1/{10**4000}", capsys=capsys)
         assert (code, out) == (1, "")
-        assert err == self.MESSAGE.replace("query 2", "query 1")
+        assert err == (
+            f"loveline: E_GRANULARITY: granularity 1/{10**4000} over "
+            f"[0,{10**4000}) is above the cap of 1000000 ticks\n"
+        )
 
 
 # Lines of a small valid document, for the fuzzer to shuffle and break.
@@ -613,3 +617,34 @@ class TestModuleEntryPoint:
         first = outputs("0")
         assert [code for code, _, _ in first] == [1] + [0] * 8
         assert outputs("1") == first
+
+    def test_c_locale_reads_utf8(self, tmp_path):
+        # Under the C locale, with UTF-8 mode and locale coercion off,
+        # Python's default text encoding is ASCII. The CLI decodes files
+        # as UTF-8 whatever the locale, byte-order mark included.
+        path = tmp_path / "cafe.love"
+        path.write_bytes(
+            b"\xef\xbb\xbf"
+            + (FIXTURE_DIR / "timeline_a.love").read_bytes()
+            + "# café\n".encode("utf-8")
+        )
+        c_locale = {"LC_ALL": "C", "PYTHONUTF8": "0",
+                    "PYTHONCOERCECLOCALE": "0"}
+        env = {key: value for key, value in os.environ.items()
+               if key not in c_locale}
+        env["PYTHONPATH"] = str(FIXTURE_DIR.parent.parent / "src")
+
+        def run(*argv: str, extra: dict) -> subprocess.CompletedProcess:
+            return subprocess.run(
+                [sys.executable, "-m", "loveline", *argv, str(path)],
+                capture_output=True, env={**env, **extra},
+            )
+
+        check = run("check", extra=c_locale)
+        assert (check.returncode, check.stdout, check.stderr) == (0, b"", b"")
+        plain = run("eval", "--format", "json", extra={})
+        under_c = run("eval", "--format", "json", extra=c_locale)
+        assert (plain.returncode, plain.stderr) == (0, b"")
+        assert (under_c.returncode, under_c.stdout, under_c.stderr) == (
+            0, plain.stdout, b""
+        )

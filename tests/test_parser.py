@@ -39,11 +39,20 @@ class TestParseRational:
         assert parse_rational("0.25") == F(1, 4)
         assert parse_rational("2.") == F(2)
         assert parse_rational(".5") == F(1, 2)
+        # 6,000 digits in all, but each side of the point stays under
+        # Python's int/str limit of 4,300.
+        assert parse_rational("1" * 3000 + "." + "5" * 3000) == (
+            int("1" * 3000) + F(int("5" * 3000), 10**3000)
+        )
 
     def test_integers_and_signs(self):
         assert parse_rational("-2") == F(-2)
         assert parse_rational("+7") == F(7)
         assert parse_rational("-2/3") == F(-2, 3)
+        assert parse_rational("-0") == F(0)
+        assert parse_rational("+3/04") == F(3, 4)
+        assert parse_rational("007") == F(7)
+        assert parse_rational("0/5") == F(0)
 
     @pytest.mark.parametrize(
         "token", ["", "abc", "1.2.3", "--2", "1e3", "2/-3", "/3", "3/", "1 /2"]

@@ -248,6 +248,44 @@ class TestEvaluate:
             assert v.s + v.c == WINDOW.measure
             assert v.love_events.measure() == v.s
 
+    def test_one_hot_pair_stays_linear(self, monkeypatch):
+        # n sensations [4k,4k+2) cut by n untargeted inhibitions
+        # [4k+1,4k+3), one direct judgment and one query over [0,4n).
+        # Every Fraction comparison made by a cold evaluation is counted,
+        # so the bound holds on any host: doubling n may roughly double
+        # the count, where a quadratic step would quadruple it.
+        counted = {"comparisons": 0}
+
+        def counting(name):
+            compare = getattr(Fraction, name)
+
+            def counted_compare(a, b):
+                counted["comparisons"] += 1
+                return compare(a, b)
+
+            return counted_compare
+
+        for name in ("__eq__", "__lt__", "__le__", "__gt__", "__ge__"):
+            monkeypatch.setattr(Fraction, name, counting(name))
+
+        def comparisons(n: int) -> int:
+            lines = ["agent a", "agent b", "acquaintance a b at 0"]
+            lines += [f"sensation s{k} bearer=a correlate=b valence=positive "
+                      f"extent=[{4 * k},{4 * k + 2})" for k in range(n)]
+            lines += [f"inhibition i{k} agent=a extent=[{4 * k + 1},{4 * k + 3})"
+                      for k in range(n)]
+            lines += [f"judgment j agent=a target=b extent=[0,{4 * n})",
+                      f"query loves a b interval=[0,{4 * n})"]
+            result = parse_document("".join(line + "\n" for line in lines))
+            assert result.ok
+            counted["comparisons"] = 0
+            v = evaluate("a", "b", result.timeline.queries[0].interval, F(1),
+                         result.timeline)
+            assert (v.s, v.c) == (n, 3 * n)
+            return counted["comparisons"]
+
+        assert comparisons(2_000) <= 2.2 * comparisons(1_000)
+
 
 class TestLoveStateAt:
     def test_inside_event(self, timeline_a):
