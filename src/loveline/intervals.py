@@ -71,6 +71,12 @@ class IntervalSet:
     whose result is already normalized (``within``, ``intersect``,
     ``difference``, ``clip_from``) skip the merge; the sorted members also
     let ``within`` and ``meets`` find a window's edges by bisection.
+
+    Sets and members are frozen, so results share them: ``union`` with an
+    empty side, ``difference`` by an empty set and ``clip_from`` at or
+    before the first start return an operand itself, and a member that
+    ``intersect`` or ``difference`` leaves whole is the input member, not
+    a copy.
     """
 
     intervals: tuple[Interval, ...] = ()
@@ -125,50 +131,66 @@ class IntervalSet:
         return i < len(members) and members[i].start < window.end
 
     def union(self, other: "IntervalSet") -> "IntervalSet":
+        if not other.intervals:
+            return self
+        if not self.intervals:
+            return other
         return IntervalSet(self.intervals + other.intervals)
 
     def intersect(self, other: "IntervalSet") -> "IntervalSet":
+        """Common points, in one pass over each: each step passes the
+        member that ends first and keeps its overlap with the other."""
         out: list[Interval] = []
         a, b = self.intervals, other.intervals
         i = j = 0
         while i < len(a) and j < len(b):
-            lo = max(a[i].start, b[j].start)
-            hi = min(a[i].end, b[j].end)
-            if lo < hi:
-                out.append(Interval(lo, hi))
-            if a[i].end <= b[j].end:
+            x, y = a[i], b[j]
+            if x.end <= y.end:
                 i += 1
             else:
+                x, y = y, x
                 j += 1
+            # x ends first, so it lies inside y when it starts no earlier,
+            # and y lies inside x when it starts later and they end together.
+            if x.start >= y.start:
+                out.append(x)
+            elif y.start < x.end:
+                out.append(y if y.end == x.end else Interval(y.start, x.end))
         return IntervalSet._normalized(tuple(out))
 
     def difference(self, other: "IntervalSet") -> "IntervalSet":
         """Points of ``self`` not in ``other``, in one pass over each: the
         cursor into ``other`` only moves forward."""
+        cuts = other.intervals
+        if not cuts:
+            return self
         out: list[Interval] = []
-        cuts, j = other.intervals, 0
+        j = 0
         for iv in self.intervals:
             cursor = iv.start
             while j < len(cuts) and cuts[j].start < iv.end:
                 cut = cuts[j]
                 if cut.start > cursor:
                     out.append(Interval(cursor, cut.start))
-                cursor = max(cursor, cut.end)
-                if cursor >= iv.end:
-                    break  # this cut may also cover the next member
+                if cut.end > cursor:
+                    if cut.end >= iv.end:
+                        break  # this cut may also cover the next member
+                    cursor = cut.end
                 j += 1
-            if cursor < iv.end:
-                out.append(Interval(cursor, iv.end))
+            else:
+                # The rest of the member; all of it when no cut reached it.
+                out.append(iv if cursor is iv.start else Interval(cursor, iv.end))
         return IntervalSet._normalized(tuple(out))
 
     def clip_from(self, t: Rational) -> "IntervalSet":
         """Points of ``self`` at or after ``t``."""
-        out: list[Interval] = []
-        for iv in self.intervals:
-            if iv.end <= t:
-                continue
-            out.append(iv if iv.start >= t else Interval(Fraction(t), iv.end))
-        return IntervalSet._normalized(tuple(out))
+        members = self.intervals
+        if not members or t <= members[0].start:
+            return self
+        out = members[bisect_right(members, t, key=_END):]
+        if out and out[0].start < t:
+            out = (Interval(Fraction(t), out[0].end), *out[1:])
+        return IntervalSet._normalized(out)
 
 
 _START = attrgetter("start")
@@ -176,11 +198,16 @@ _END = attrgetter("end")
 
 
 def _merge(intervals: Iterable[Interval]) -> tuple[Interval, ...]:
-    ordered = sorted(intervals, key=lambda iv: (iv.start, iv.end))
-    out: list[Interval] = []
-    for iv in ordered:
+    if type(intervals) is not tuple:
+        intervals = tuple(intervals)
+    if len(intervals) < 2:
+        return intervals
+    # Equal starts need no end order: the later member extends or is absorbed.
+    ordered = sorted(intervals, key=_START)
+    out = [ordered[0]]
+    for iv in ordered[1:]:
         # "start <= last.end" merges overlaps and abutting neighbours alike.
-        if out and iv.start <= out[-1].end:
+        if iv.start <= out[-1].end:
             if iv.end > out[-1].end:
                 out[-1] = Interval(out[-1].start, iv.end)
         else:

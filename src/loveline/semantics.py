@@ -23,6 +23,7 @@ are deliberately kept independent of each other.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple
@@ -122,7 +123,11 @@ def _index_of(timeline: Timeline) -> _PairIndex:
 
 
 def _merged(parts: Iterable[IntervalSet]) -> IntervalSet:
-    """Union of ``parts`` in a single merge."""
+    """Union of ``parts`` in a single merge; a single part is returned as
+    it is."""
+    parts = tuple(parts)
+    if len(parts) == 1:
+        return parts[0]
     return IntervalSet(tuple(iv for part in parts for iv in part))
 
 
@@ -317,6 +322,16 @@ def _timeline_endpoints(timeline: Timeline, interval: Interval) -> list[Fraction
     return points
 
 
+def _oracle_text(value: Fraction) -> str:
+    # A rational as the oracle's messages word it. One too long for
+    # Python's int/str conversion is named by that limit, so building the
+    # message cannot raise and hide the real failure.
+    try:
+        return format_rational(value)
+    except ValueError:
+        return f"<more than {sys.get_int_max_str_digits()} digits>"
+
+
 def _tick_in(t: Fraction, extent: IntervalSet) -> bool:
     # Raw endpoint comparison, bypassing the interval-set algebra on
     # purpose: the oracle must not share the production code path.
@@ -345,7 +360,7 @@ def tick_oracle(
     granularity = Fraction(granularity)
     if granularity <= 0:
         raise GranularityError(
-            f"granularity {format_rational(granularity)} must be positive"
+            f"granularity {_oracle_text(granularity)} must be positive"
         )
     # a/b divided by p/q is whole iff b*p divides a*q: integer arithmetic,
     # with no Fraction built per endpoint.
@@ -353,8 +368,8 @@ def tick_oracle(
     for point in _timeline_endpoints(timeline, interval):
         if (point.numerator * q) % (point.denominator * p):
             raise GranularityError(
-                f"granularity {format_rational(granularity)} does not divide "
-                f"endpoint {format_rational(point)}"
+                f"granularity {_oracle_text(granularity)} does not divide "
+                f"endpoint {_oracle_text(point)}"
             )
     floor = timeline.config.min_intensity
 
@@ -405,7 +420,8 @@ def tick_oracle(
     assert tick_count.denominator == 1
     if tick_count > MAX_ORACLE_TICKS:
         raise GranularityError(
-            f"granularity {format_rational(granularity)} over {interval} "
+            f"granularity {_oracle_text(granularity)} over "
+            f"[{_oracle_text(interval.start)},{_oracle_text(interval.end)}) "
             f"is above the cap of {MAX_ORACLE_TICKS} ticks"
         )
 

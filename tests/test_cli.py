@@ -484,6 +484,48 @@ class TestDigitLimit:
             f"[0,{10**4000}) is above the cap of 1000000 ticks\n"
         )
 
+    # 6,001 digits, but each side of the point stays under the limit, so
+    # the file parses. Its numerator has more digits than Python prints.
+    LONG = "1" * 3000 + "." + "5" * 3000
+    UNPRINTABLE = f"<more than {sys.get_int_max_str_digits()} digits>"
+
+    def oracle_failure(self, tmp_path, window, granularity, capsys):
+        path = tmp_path / "long.love"
+        path.write_text(f"agent a\nagent b\nquery loves a b interval={window}\n",
+                        encoding="utf-8")
+        code, out, err = run_main("oracle", str(path), "--granularity",
+                                  granularity, capsys=capsys)
+        assert (code, out) == (1, "")
+        return err
+
+    def test_oracle_names_an_unprintable_endpoint_by_the_limit(
+        self, capsys, tmp_path
+    ):
+        # The failure is the granularity, so the message must say so,
+        # rather than fail to print the endpoint it names.
+        err = self.oracle_failure(tmp_path, f"[0,{self.LONG})", "1", capsys)
+        assert err == ("loveline: E_GRANULARITY: granularity 1 does not "
+                       f"divide endpoint {self.UNPRINTABLE}\n")
+
+    def test_oracle_names_an_unprintable_granularity_by_the_limit(
+        self, capsys, tmp_path
+    ):
+        err = self.oracle_failure(tmp_path, "[0,1)", self.LONG, capsys)
+        assert err == (f"loveline: E_GRANULARITY: granularity "
+                       f"{self.UNPRINTABLE} does not divide endpoint 1\n")
+
+    def test_oracle_cap_names_an_unprintable_window_end_by_the_limit(
+        self, capsys, tmp_path
+    ):
+        # A grid as fine as the end's denominator divides both ends, and
+        # gives far more ticks than the cap.
+        grid = Fraction(1, Fraction(self.LONG).denominator)
+        err = self.oracle_failure(tmp_path, f"[0,{self.LONG})", str(grid),
+                                  capsys)
+        assert err == (f"loveline: E_GRANULARITY: granularity {grid} over "
+                       f"[0,{self.UNPRINTABLE}) is above the cap of "
+                       "1000000 ticks\n")
+
 
 # Lines of a small valid document, for the fuzzer to shuffle and break.
 DOCUMENT_LINES = (

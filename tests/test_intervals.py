@@ -116,6 +116,28 @@ class TestNormalize:
     def test_always_normalized(self, s: IntervalSet):
         assert_normalized(s)
 
+    def test_any_iterable_of_members(self):
+        members = [Interval(4, 6), Interval(0, 2), Interval(2, 3)]
+        expected = iset((0, 3), (4, 6))
+        for given_members in (members, tuple(members), iter(members),
+                              (iv for iv in members)):
+            s = IntervalSet(given_members)
+            assert s == expected
+            assert type(s.intervals) is tuple
+
+    def test_one_or_no_member(self):
+        only = Interval(1, 2)
+        for given_members in ([only], (only,), iter([only])):
+            assert IntervalSet(given_members).intervals == (only,)
+        for given_members in ([], (), iter([])):
+            assert IntervalSet(given_members).intervals == ()
+
+    def test_equal_starts_merge_whatever_their_order(self):
+        short, long = Interval(0, 1), Interval(0, 3)
+        assert IntervalSet((short, long)) == IntervalSet((long, short)) \
+            == iset((0, 3))
+        assert IntervalSet((long, Interval(3, 4), short)) == iset((0, 4))
+
 
 class TestUnion:
     def test_disjoint(self):
@@ -245,6 +267,69 @@ class TestComplementWithin:
         assert inside.measure() + outside.measure() == window.measure
         assert inside.union(outside) == IntervalSet((window,))
         assert inside.intersect(outside) == IntervalSet()
+
+
+class TestOperandReuse:
+    """Sets and members are frozen, so a result that equals an operand or
+    keeps a member whole shares it instead of copying it."""
+
+    def test_empty_operands_give_the_other_operand(self):
+        s = iset((0, 2), (3, 5))
+        assert s.difference(IntervalSet()) is s
+        assert s.union(IntervalSet()) is s
+        assert IntervalSet().union(s) is s
+
+    @pytest.mark.parametrize("t", [F(-1), F(0), 0])
+    def test_clip_from_at_or_before_the_first_start(self, t):
+        s = iset((0, 2), (3, 5))
+        assert s.clip_from(t) is s
+
+    def test_clip_from_inside_keeps_later_members(self):
+        s = iset((0, 2), (3, 5), (6, 7))
+        clipped = s.clip_from(F(1))
+        assert clipped == iset((1, 2), (3, 5), (6, 7))
+        assert all(a is b for a, b in zip(clipped.intervals[1:],
+                                          s.intervals[1:]))
+        assert s.clip_from(F(3)).intervals[0] is s.intervals[1]
+        assert s.clip_from(F(7)) == IntervalSet()
+
+    def test_intersect_keeps_a_member_inside_the_other(self):
+        inner, outer = iset((2, 3), (5, 6)), iset((0, 10))
+        for result in (inner.intersect(outer), outer.intersect(inner)):
+            assert result == inner
+            assert all(a is b for a, b in zip(result, inner))
+        # Inside with a shared end, or equal: still an input member.
+        a, b = iset((1, 4)), iset((0, 4))
+        assert a.intersect(b).intervals[0] is a.intervals[0]
+        assert b.intersect(a).intervals[0] is a.intervals[0]
+        twin = iset((1, 4))
+        assert a.intersect(twin).intervals[0] in (a.intervals[0],
+                                                 twin.intervals[0])
+        # A member the other cuts is new; one left whole is shared.
+        a, b = iset((0, 4), (6, 7)), iset((2, 8))
+        cut = a.intersect(b)
+        assert cut == iset((2, 4), (6, 7))
+        assert cut.intervals[1] is a.intervals[1]
+
+    def test_difference_keeps_members_no_cut_reaches(self):
+        s = iset((0, 2), (3, 5), (6, 8))
+        d = s.difference(iset((4, F(9, 2)), (9, 10)))
+        assert d == iset((0, 2), (3, 4), (F(9, 2), 5), (6, 8))
+        assert d.intervals[0] is s.intervals[0]
+        assert d.intervals[-1] is s.intervals[-1]
+        # A cut that only touches a member's end leaves it whole.
+        touched = s.difference(iset((2, 3)))
+        assert touched == s
+        assert all(a is b for a, b in zip(touched, s))
+
+    @given(interval_sets(), interval_sets())
+    def test_kept_members_are_shared(self, a: IntervalSet, b: IntervalSet):
+        # A result member equal to an input member is an input member.
+        members = (*a, *b)
+        for result in (a.intersect(b), a.difference(b)):
+            for iv in result:
+                if iv in members:
+                    assert any(iv is m for m in members)
 
 
 class TestWithin:
