@@ -9,6 +9,7 @@ floating point is involved anywhere.
 
 from __future__ import annotations
 
+import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,11 +25,21 @@ Rational = Union[int, Fraction]
 
 
 def format_rational(value: Rational) -> str:
-    """Render ``value`` as ``num/den``, or bare ``num`` when integral."""
+    """Render an output value as ``num/den``, or bare ``num`` when integral.
+    Past Python's int/str limit this raises; see :func:`message_rational`."""
     q = Fraction(value)
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
+
+
+def message_rational(value: Rational) -> str:
+    """``value`` as every message words it: :func:`format_rational`, or
+    ``<more than N digits>`` past the limit, so no message raises."""
+    try:
+        return format_rational(value)
+    except ValueError:
+        return f"<more than {sys.get_int_max_str_digits()} digits>"
 
 
 @dataclass(frozen=True)
@@ -46,8 +57,8 @@ class Interval:
             object.__setattr__(self, "end", Fraction(self.end))
         if self.start >= self.end:
             raise EmptyIntervalError(
-                f"interval [{format_rational(self.start)},"
-                f"{format_rational(self.end)}) has no positive measure"
+                f"interval [{message_rational(self.start)},"
+                f"{message_rational(self.end)}) has no positive measure"
             )
 
     @property

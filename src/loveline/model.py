@@ -25,7 +25,7 @@ from .diagnostics import (
     E_UNKNOWN_REF,
     _quoted,
 )
-from .intervals import Interval, IntervalSet, format_rational
+from .intervals import Interval, IntervalSet, message_rational
 
 
 class Valence(Enum):
@@ -198,7 +198,7 @@ def validate_timeline(timeline: Timeline) -> list[Diagnostic]:
                 Diagnostic(
                     E_INTENSITY_RANGE,
                     f"sensation {_quoted(ep.id)} intensity "
-                    f"{format_rational(ep.intensity)} outside [0, 1]",
+                    f"{message_rational(ep.intensity)} outside [0, 1]",
                     record=ep.id,
                 )
             )
@@ -228,7 +228,7 @@ def validate_timeline(timeline: Timeline) -> list[Diagnostic]:
             diags.append(
                 Diagnostic(
                     E_THRESHOLD_NONPOSITIVE,
-                    f"query threshold {format_rational(q.threshold)} "
+                    f"query threshold {message_rational(q.threshold)} "
                     f"must be positive",
                     record=handle,
                 )
@@ -239,7 +239,7 @@ def validate_timeline(timeline: Timeline) -> list[Diagnostic]:
             Diagnostic(
                 E_THRESHOLD_NONPOSITIVE,
                 f"default threshold "
-                f"{format_rational(timeline.config.threshold_default)} "
+                f"{message_rational(timeline.config.threshold_default)} "
                 f"must be positive",
                 record="config.threshold_default",
             )
@@ -249,7 +249,7 @@ def validate_timeline(timeline: Timeline) -> list[Diagnostic]:
             Diagnostic(
                 E_INTENSITY_RANGE,
                 f"min_intensity "
-                f"{format_rational(timeline.config.min_intensity)} "
+                f"{message_rational(timeline.config.min_intensity)} "
                 f"outside [0, 1]",
                 record="config.min_intensity",
             )

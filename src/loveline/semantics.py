@@ -23,13 +23,12 @@ are deliberately kept independent of each other.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
 from .diagnostics import GranularityError, ThresholdError
-from .intervals import Interval, IntervalSet, format_rational
+from .intervals import Interval, IntervalSet, message_rational
 from .model import SensationEpisode, Timeline, Valence
 
 
@@ -212,7 +211,7 @@ def condition_ii_components(
 def _check_threshold(threshold: Fraction) -> None:
     if threshold <= 0:
         raise ThresholdError(
-            f"threshold {format_rational(threshold)} must be positive"
+            f"threshold {message_rational(threshold)} must be positive"
         )
 
 
@@ -322,16 +321,6 @@ def _timeline_endpoints(timeline: Timeline, interval: Interval) -> list[Fraction
     return points
 
 
-def _oracle_text(value: Fraction) -> str:
-    # A rational as the oracle's messages word it. One too long for
-    # Python's int/str conversion is named by that limit, so building the
-    # message cannot raise and hide the real failure.
-    try:
-        return format_rational(value)
-    except ValueError:
-        return f"<more than {sys.get_int_max_str_digits()} digits>"
-
-
 def _tick_in(t: Fraction, extent: IntervalSet) -> bool:
     # Raw endpoint comparison, bypassing the interval-set algebra on
     # purpose: the oracle must not share the production code path.
@@ -360,7 +349,7 @@ def tick_oracle(
     granularity = Fraction(granularity)
     if granularity <= 0:
         raise GranularityError(
-            f"granularity {_oracle_text(granularity)} must be positive"
+            f"granularity {message_rational(granularity)} must be positive"
         )
     # a/b divided by p/q is whole iff b*p divides a*q: integer arithmetic,
     # with no Fraction built per endpoint.
@@ -368,8 +357,8 @@ def tick_oracle(
     for point in _timeline_endpoints(timeline, interval):
         if (point.numerator * q) % (point.denominator * p):
             raise GranularityError(
-                f"granularity {_oracle_text(granularity)} does not divide "
-                f"endpoint {_oracle_text(point)}"
+                f"granularity {message_rational(granularity)} does not divide "
+                f"endpoint {message_rational(point)}"
             )
     floor = timeline.config.min_intensity
 
@@ -420,8 +409,8 @@ def tick_oracle(
     assert tick_count.denominator == 1
     if tick_count > MAX_ORACLE_TICKS:
         raise GranularityError(
-            f"granularity {_oracle_text(granularity)} over "
-            f"[{_oracle_text(interval.start)},{_oracle_text(interval.end)}) "
+            f"granularity {message_rational(granularity)} over "
+            f"[{message_rational(interval.start)},{message_rational(interval.end)}) "
             f"is above the cap of {MAX_ORACLE_TICKS} ticks"
         )
 

@@ -387,6 +387,11 @@ def _random_statements(rng: random.Random) -> list:
     return statements
 
 
+# 6,001 digits: each side of the point parses, but the value has more
+# digits than Python prints, so a message must not print it.
+LONG_DECIMAL = "1" * 3000 + "." + "5" * 3000
+
+
 def _bad_line(rng: random.Random, k: int) -> str:
     templates = (
         f"wibble{k} whatever",
@@ -398,6 +403,9 @@ def _bad_line(rng: random.Random, k: int) -> str:
         f"extent=[1,2)",
         f"acquaintance ax{k} ay{k} at",
         f"inhibition ww{k} agent=gone{k} extent=[0,1) extent=[0,1)",
+        f"sensation vv{k} bearer=vb{k} correlate=vc{k} valence=positive "
+        f"intensity={LONG_DECIMAL} extent=[0,1)",
+        f"judgment uu{k} agent=ub{k} target=uc{k} extent=[{LONG_DECIMAL},1)",
     )
     return rng.choice(templates)
 

@@ -526,6 +526,42 @@ class TestDigitLimit:
                        f"[0,{self.UNPRINTABLE}) is above the cap of "
                        "1000000 ticks\n")
 
+    # Each line holds a value past the limit; each diagnostic names the
+    # value by the limit, where printing it would raise.
+    @pytest.mark.parametrize("line, diagnostic", [
+        ("sensation s1 bearer=a correlate=b valence=positive "
+         f"intensity={LONG} extent=[0,1)",
+         f"3:1: E_INTENSITY_RANGE: sensation 's1' intensity {UNPRINTABLE} "
+         "outside [0, 1]"),
+        (f"set min_intensity {LONG}",
+         f"3:1: E_INTENSITY_RANGE: min_intensity {UNPRINTABLE} outside [0, 1]"),
+        (f"set threshold -{LONG}",
+         f"3:1: E_THRESHOLD_NONPOSITIVE: default threshold {UNPRINTABLE} "
+         "must be positive"),
+        (f"query loves a b interval=[0,1) threshold=-{LONG}",
+         f"3:1: E_THRESHOLD_NONPOSITIVE: query threshold {UNPRINTABLE} "
+         "must be positive"),
+        # Read by the fast path first, then with blanks by the tokens:
+        # both name the bracket's column.
+        (f"query loves a b interval=[{LONG},1)",
+         f"3:26: E_EMPTY_INTERVAL: interval [{UNPRINTABLE},1) has no "
+         "positive measure"),
+        (f"query loves a b interval=[ {LONG} , 1 )",
+         f"3:26: E_EMPTY_INTERVAL: interval [{UNPRINTABLE},1) has no "
+         "positive measure"),
+        (f"inhibition i1 agent=a extent=[0,1)+[{LONG},2)",
+         f"3:36: E_EMPTY_INTERVAL: interval [{UNPRINTABLE},2) has no "
+         "positive measure"),
+    ], ids=["intensity", "min_intensity", "default_threshold",
+            "query_threshold", "interval", "interval_blanks", "extent"])
+    def test_check_names_an_unprintable_value_by_the_limit(
+        self, line, diagnostic, capsys, tmp_path
+    ):
+        path = tmp_path / "long.love"
+        path.write_text(f"agent a\nagent b\n{line}\n", encoding="utf-8")
+        code, out, err = run_main("check", str(path), capsys=capsys)
+        assert (code, out, err) == (1, "", f"{path}:{diagnostic}\n")
+
 
 # Lines of a small valid document, for the fuzzer to shuffle and break.
 DOCUMENT_LINES = (

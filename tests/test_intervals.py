@@ -92,6 +92,12 @@ class TestInterval:
         with pytest.raises(EmptyIntervalError):
             Interval(6, 5)
 
+    def test_rejects_empty_with_an_unprintable_endpoint(self):
+        # 5,001 digits: past Python's int/str limit, the message names the
+        # limit instead of failing to print the start.
+        with pytest.raises(EmptyIntervalError, match=r"^interval \[<more than"):
+            Interval(F(10**5000), 1)
+
     def test_str(self):
         assert str(Interval(0, 10)) == "[0,10)"
         assert str(Interval(F(1, 2), F(3, 4))) == "[1/2,3/4)"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import sys
 from fractions import Fraction
 
 import pytest
@@ -172,6 +173,13 @@ class TestValidateTimeline:
         ]
         assert validate_timeline(with_intensity(F(0))) == []
         assert validate_timeline(with_intensity(F(1))) == []
+        # Past Python's int/str limit the value is named by the limit, so
+        # validation reports the range error instead of raising.
+        diags = validate_timeline(with_intensity(F(10**5000)))
+        assert [d.message for d in diags] == [
+            f"sensation 's' intensity <more than {sys.get_int_max_str_digits()} "
+            "digits> outside [0, 1]"
+        ]
 
     def test_empty_extents(self):
         tl = Timeline(

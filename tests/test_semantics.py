@@ -242,6 +242,11 @@ class TestEvaluate:
         with pytest.raises(ThresholdError):
             evaluate("sally", "john", WINDOW, F(-1), timeline_a)
 
+    def test_unprintable_threshold_is_named_by_the_limit(self, timeline_a):
+        with pytest.raises(ThresholdError, match=r"^threshold <more than \d+ "
+                           r"digits> must be positive$"):
+            evaluate("sally", "john", WINDOW, -F(10**5000), timeline_a)
+
     def test_conservation(self, timeline_a, timeline_b, timeline_c):
         for tl in (timeline_a, timeline_b, timeline_c):
             v = evaluate("sally", "john", WINDOW, F(1), tl)
