@@ -83,11 +83,11 @@ class IntervalSet:
     ``difference``, ``clip_from``) skip the merge; the sorted members also
     let ``within`` and ``meets`` find a window's edges by bisection.
 
-    Sets and members are frozen, so results share them: ``union`` with an
-    empty side, ``difference`` by an empty set and ``clip_from`` at or
-    before the first start return an operand itself, and a member that
-    ``intersect`` or ``difference`` leaves whole is the input member, not
-    a copy.
+    Sets and members are frozen, so results share them: ``union`` of any
+    number of sets with at most one that has members, ``difference`` by an
+    empty set and ``clip_from`` at or before the first start return an
+    operand itself, and a member that ``intersect`` or ``difference``
+    leaves whole is the input member, not a copy.
     """
 
     intervals: tuple[Interval, ...] = ()
@@ -141,12 +141,14 @@ class IntervalSet:
         i = bisect_right(members, window.start, key=_END)
         return i < len(members) and members[i].start < window.end
 
-    def union(self, other: "IntervalSet") -> "IntervalSet":
-        if not other.intervals:
-            return self
-        if not self.intervals:
-            return other
-        return IntervalSet(self.intervals + other.intervals)
+    def union(self, *others: "IntervalSet") -> "IntervalSet":
+        """Every point of ``self`` and ``others``, merged once. When at most
+        one operand has members, that operand itself is the result, or
+        ``self`` when none has."""
+        filled = [s for s in (self, *others) if s.intervals]
+        if len(filled) < 2:
+            return filled[0] if filled else self
+        return IntervalSet(tuple(iv for s in filled for iv in s.intervals))
 
     def intersect(self, other: "IntervalSet") -> "IntervalSet":
         """Common points, in one pass over each: each step passes the

@@ -11,6 +11,7 @@ surface all of them at once.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -21,11 +22,18 @@ from .diagnostics import (
     E_EMPTY_INTERVAL,
     E_INTENSITY_RANGE,
     E_SELF_CORRELATE,
+    E_SYNTAX,
     E_THRESHOLD_NONPOSITIVE,
     E_UNKNOWN_REF,
     _quoted,
 )
 from .intervals import Interval, IntervalSet, message_rational
+
+
+# The one identifier rule: agent names and record ids. The parser reads
+# only these, and validate_timeline holds timelines built in code to it.
+IDENTIFIER = r"[a-z][a-z0-9_]*"
+_IDENTIFIER_RE = re.compile(IDENTIFIER)
 
 
 class Valence(Enum):
@@ -125,8 +133,9 @@ def _duplicate_id(record_id: str, first: str, **where) -> Diagnostic:
 def validate_timeline(timeline: Timeline) -> list[Diagnostic]:
     """Check referential integrity and value invariants.
 
-    Returns an empty list iff every identifier reference resolves, all ids
-    are unique, and all field invariants hold. Diagnostics carry the
+    Returns an empty list iff every declared id and agent name is an
+    identifier (:data:`IDENTIFIER`), every reference resolves, all ids are
+    unique, and all field invariants hold. Diagnostics carry the
     offending record's id (or a ``kind[index]`` handle for records without
     one) so callers can map them back to source positions.
     """
@@ -134,6 +143,12 @@ def validate_timeline(timeline: Timeline) -> list[Diagnostic]:
     declared: dict[str, str] = {}
 
     def declare(record_id: str, kind: str) -> None:
+        if _IDENTIFIER_RE.fullmatch(record_id) is None:
+            diags.append(Diagnostic(
+                E_SYNTAX,
+                f"{kind} id {_quoted(record_id)} does not match {IDENTIFIER}",
+                record=record_id,
+            ))
         if record_id in declared:
             diags.append(_duplicate_id(record_id, declared[record_id]))
         else:

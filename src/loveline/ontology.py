@@ -234,9 +234,9 @@ def project_timeline(timeline: Timeline) -> OntologyGraph:
     emitted graph then validates cleanly.
 
     Minted ids are ``act:<judgment>``, ``disp:<judgment>``,
-    ``ice:<judgment>`` and ``inhib:<agent>``. Timeline ids match
-    ``[a-z][a-z0-9_]*`` and so never contain ``:``, which keeps minted ids
-    apart from every id the timeline declares.
+    ``ice:<judgment>`` and ``inhib:<agent>``. Every id that a valid
+    timeline declares, even one built in code, matches ``[a-z][a-z0-9_]*``
+    and so has no ``:``, which keeps minted ids apart from all of them.
     """
     individuals: list[Individual] = []
     relations: list[RelationAssertion] = []

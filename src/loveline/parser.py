@@ -61,6 +61,7 @@ from .diagnostics import (
 )
 from .intervals import Interval, IntervalSet, format_rational
 from .model import (
+    IDENTIFIER,
     AcquaintanceRecord,
     Config,
     InhibitionEpisode,
@@ -175,7 +176,7 @@ _TOKEN_RE = re.compile(
     r"(?P<ws>[ \t]+)"
     # A number run into letters, like ``1e3``, is one malformed rational.
     rf"|(?P<number>{_NUMBER})(?P<run_on>[a-z_][a-z0-9_./]*)?"
-    r"|(?P<ident>[a-z][a-z0-9_]*)"
+    rf"|(?P<ident>{IDENTIFIER})"
     r"|(?P<punct>[=\[,)+])"
 )
 
@@ -309,7 +310,7 @@ _VALENCES = tuple(valence.value for valence in Valence)
 # The fast path reads intervals written without inner whitespace.
 _SPAN = rf"\[{_NUMBER},{_NUMBER}\)"
 
-_IDENT = _Kind(lambda cur: cur.take("ident").text, str, r"[a-z][a-z0-9_]*")
+_IDENT = _Kind(lambda cur: cur.take("ident").text, str, IDENTIFIER)
 _RATIONAL = _Kind(_rational, format_rational, _NUMBER, _rational_of)
 _INTERVAL = _Kind(
     _interval, str, _SPAN, lambda text, memo: _load_interval(text[1:-1], memo)

@@ -162,6 +162,25 @@ class TestUnion:
         for t in sample_points(a, b, u):
             assert member(t, u) == (member(t, a) or member(t, b))
 
+    def test_many_operands(self):
+        assert iset((0, 1)).union(iset((4, 5)), iset((1, 2)), iset((3, 4))) == (
+            iset((0, 2), (3, 5)))
+
+    @given(interval_sets(), st.lists(interval_sets(), max_size=4))
+    def test_many_operands_pointwise(self, a: IntervalSet, others: list):
+        u = a.union(*others)
+        assert_normalized(u)
+        for t in sample_points(a, *others, u):
+            assert member(t, u) == any(member(t, s) for s in (a, *others))
+        folded = a
+        for s in others:
+            folded = folded.union(s)
+        assert u == folded
+        # At most one operand with members: the result is that operand.
+        filled = [s for s in (a, *others) if s]
+        if len(filled) < 2:
+            assert u is (filled[0] if filled else a)
+
 
 class TestIntersect:
     def test_overlap(self):
@@ -284,6 +303,11 @@ class TestOperandReuse:
         assert s.difference(IntervalSet()) is s
         assert s.union(IntervalSet()) is s
         assert IntervalSet().union(s) is s
+        empty, other_empty = IntervalSet(), IntervalSet()
+        assert empty.union(other_empty, s, IntervalSet()) is s
+        assert s.union() is s
+        assert empty.union(other_empty, IntervalSet()) is empty
+        assert empty.union() is empty
 
     @pytest.mark.parametrize("t", [F(-1), F(0), 0])
     def test_clip_from_at_or_before_the_first_start(self, t):

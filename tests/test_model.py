@@ -19,6 +19,9 @@ from loveline import (
     Timeline,
     Valence,
     ValueJudgment,
+    parse_document,
+    project_timeline,
+    validate,
     validate_timeline,
 )
 
@@ -76,6 +79,54 @@ class TestValidateTimeline:
     def test_duplicate_agent_name(self):
         tl = Timeline(agents=("a", "a", "b"))
         assert codes(validate_timeline(tl)) == ["E_DUP_ID"]
+
+    def test_projection_of_a_clean_timeline_validates(self):
+        # 'act:j1' is the id project_timeline mints for judgment j1, so an
+        # agent of that name would collide with it in the graph.
+        tl = Timeline(
+            agents=("act:j1", "b"),
+            judgments=(ValueJudgment("j1", "b", "act:j1", ext(0, 1)),),
+        )
+        diags = validate_timeline(tl)
+        assert [(d.code, d.record, d.message) for d in diags] == [(
+            "E_SYNTAX", "act:j1",
+            "agent id 'act:j1' does not match [a-z][a-z0-9_]*",
+        )]
+        assert codes(validate(*project_timeline(tl))) == (
+            ["E_DUP_ID"] + ["E_RANGE"] * 2
+        )
+        clean = dataclasses.replace(tl, agents=("act_j1", "b"), judgments=(
+            ValueJudgment("j1", "b", "act_j1", ext(0, 1)),))
+        assert validate_timeline(clean) == []
+        assert validate(*project_timeline(clean)) == []
+
+    @pytest.mark.parametrize("bad", ["A", "1a", "_a", "a-b", "a b", "", "é",
+                                     "a\n", "x" * 50 + "!"])
+    def test_every_declared_id_is_an_identifier(self, bad):
+        tl = Timeline(
+            agents=(bad, "b"),
+            sensations=(
+                SensationEpisode(bad + ":s", "b", bad, Valence.POSITIVE,
+                                 ext(0, 1)),
+            ),
+            judgments=(ValueJudgment(bad + ":j", "b", bad, ext(0, 1)),),
+            inhibitions=(InhibitionEpisode(bad + ":i", "b", bad, ext(0, 1)),),
+        )
+        diags = validate_timeline(tl)
+        # A malformed id is still declared, so its references resolve.
+        assert codes(diags) == ["E_SYNTAX"] * 4
+        assert [d.record for d in diags] == [
+            bad, bad + ":s", bad + ":j", bad + ":i"]
+        assert [d.message.split()[0] for d in diags] == [
+            "agent", "sensation", "judgment", "inhibition"]
+        for diag in diags:
+            assert len(diag.message) < 200
+
+    @pytest.mark.parametrize("name", ["a", "a_1", "z9", "A", "1a", "_a", "a-b",
+                                      "é", "a:b"])
+    def test_parser_reads_exactly_the_ids_validation_accepts(self, name):
+        clean = validate_timeline(Timeline(agents=(name,))) == []
+        assert parse_document(f"agent {name}\n").ok == clean
 
     def test_unknown_references(self):
         tl = Timeline(

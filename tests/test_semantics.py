@@ -496,6 +496,12 @@ class TestPairCache:
     def test_a_warm_query_does_no_merge(self, timeline_a, monkeypatch):
         # Once the pair record exists, a window is answered by bisection over
         # its love set: neither evaluate nor explain re-sorts a member list.
+        # A second sensation overlapping s1 makes the cold build merge.
+        timeline_a = dataclasses.replace(timeline_a, sensations=(
+            *timeline_a.sensations,
+            SensationEpisode("s2", "sally", "john", Valence.POSITIVE,
+                             iset((6, 9))),
+        ))
         merges = []
         merge = intervals._merge
 
@@ -513,6 +519,7 @@ class TestPairCache:
         assert merges == []
         assert verdict.love_events == iset((4, 7))
         assert trace.verdict == verdict and trace.first_failure is None
+        assert trace.signals.condition_i == iset((2, 9))
 
     def test_explain_stage_agrees_with_evaluate_on_every_fixture_query(self):
         seen = 0
