@@ -22,7 +22,6 @@ from fractions import Fraction
 from typing import Callable, Sequence, TypeVar
 
 from .diagnostics import LovelineError
-from .intervals import format_rational
 from .model import QuerySpec, Timeline
 from .parser import DslSyntaxError, parse_document, parse_rational
 from .ontology import export_graph, project_timeline
@@ -125,13 +124,13 @@ def _asked(query: QuerySpec, timeline: Timeline) -> tuple:
 
 def _outcome(verdict: Verdict) -> str:
     word = "HOLDS" if verdict.holds else "FAILS"
-    return f"{word} s={format_rational(verdict.s)} c={format_rational(verdict.c)}"
+    return f"{word} s={str(verdict.s)} c={str(verdict.c)}"
 
 
 def _query_line(query: QuerySpec, verdict: Verdict) -> str:
     return (
         f"loves({query.subject},{query.object}) over {query.interval} "
-        f"T={format_rational(verdict.threshold)}: {_outcome(verdict)}"
+        f"T={str(verdict.threshold)}: {_outcome(verdict)}"
     )
 
 
@@ -140,10 +139,10 @@ def _query_record(query: QuerySpec, verdict: Verdict) -> dict:
         "subject": query.subject,
         "object": query.object,
         "interval": str(query.interval),
-        "threshold": format_rational(verdict.threshold),
+        "threshold": str(verdict.threshold),
         "holds": verdict.holds,
-        "s": format_rational(verdict.s),
-        "c": format_rational(verdict.c),
+        "s": str(verdict.s),
+        "c": str(verdict.c),
         "love_events": [str(iv) for iv in verdict.love_events],
     }
 
@@ -179,7 +178,7 @@ def _trace_text(query: QuerySpec, trace: Trace) -> str:
     onset = (
         "(none)"
         if signals.acquaintance_onset is None
-        else format_rational(signals.acquaintance_onset)
+        else str(signals.acquaintance_onset)
     )
     lines = (
         _query_line(query, trace.verdict),

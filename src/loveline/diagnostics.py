@@ -25,10 +25,12 @@ _QUOTE_LIMIT = 40
 
 
 def _quoted(token: str) -> str:
-    """``token`` in single quotes, shortened when over :data:`_QUOTE_LIMIT`."""
-    if len(token) <= _QUOTE_LIMIT:
-        return f"'{token}'"
-    return f"'{token[:_QUOTE_LIMIT - 10]}...' ({len(token)} characters)"
+    """``token`` in single quotes, shortened when over :data:`_QUOTE_LIMIT`,
+    with each non-printable character written as ``repr`` writes it."""
+    short = len(token) <= _QUOTE_LIMIT
+    shown = token if short else token[:_QUOTE_LIMIT - 10]
+    shown = "".join(c if c.isprintable() else repr(c)[1:-1] for c in shown)
+    return f"'{shown}'" if short else f"'{shown}...' ({len(token)} characters)"
 
 
 @dataclass(frozen=True)

@@ -25,19 +25,16 @@ Rational = Union[int, Fraction]
 
 
 def format_rational(value: Rational) -> str:
-    """Render an output value as ``num/den``, or bare ``num`` when integral.
+    """``str(value)``: ``num/den`` in lowest terms, or ``num`` when integral.
     Past Python's int/str limit this raises; see :func:`message_rational`."""
-    q = Fraction(value)
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+    return str(value)
 
 
 def message_rational(value: Rational) -> str:
-    """``value`` as every message words it: :func:`format_rational`, or
+    """``value`` as every message words it: ``str(value)``, or
     ``<more than N digits>`` past the limit, so no message raises."""
     try:
-        return format_rational(value)
+        return str(value)
     except ValueError:
         return f"<more than {sys.get_int_max_str_digits()} digits>"
 
@@ -69,7 +66,8 @@ class Interval:
         return self.start <= t < self.end
 
     def __str__(self) -> str:
-        return f"[{format_rational(self.start)},{format_rational(self.end)})"
+        # str(x), not f"{x}": Fraction.__format__ is slow from Python 3.12.
+        return f"[{str(self.start)},{str(self.end)})"
 
 
 @dataclass(frozen=True)
@@ -202,7 +200,7 @@ class IntervalSet:
             return self
         out = members[bisect_right(members, t, key=_END):]
         if out and out[0].start < t:
-            out = (Interval(Fraction(t), out[0].end), *out[1:])
+            out = (Interval(t, out[0].end), *out[1:])
         return IntervalSet._normalized(out)
 
 

@@ -40,6 +40,9 @@ class Valence(Enum):
     POSITIVE = "positive"
     NEGATIVE = "negative"
 
+    def __str__(self) -> str:
+        return self.value
+
 
 @dataclass(frozen=True)
 class AcquaintanceRecord:

@@ -21,7 +21,8 @@ dropped, so it neither breaks the first statement nor hides the header.
 :data:`_GRAMMAR` is the single source of the statement shapes: for each
 head word it gives the record class, the positional part and the
 ``key=value`` fields in canonical order with their defaults. Reading a
-statement, building the timeline and writing canonical text all walk it.
+statement, building the timeline and writing canonical text all walk it;
+the writer words every value with ``str`` (``3/4``, ``[0,1)+[2,3)``).
 
 Each line is read one of two ways, with the same result:
 
@@ -59,7 +60,7 @@ from .diagnostics import (
     LovelineError,
     _quoted,
 )
-from .intervals import Interval, IntervalSet, format_rational
+from .intervals import Interval, IntervalSet
 from .model import (
     IDENTIFIER,
     AcquaintanceRecord,
@@ -291,7 +292,7 @@ def _load_interval(inner: str, memo: dict) -> Interval:
 
 
 class _Kind(NamedTuple):
-    """How a value is read from a statement and written back.
+    """How a value is read from a statement; ``str`` writes every value back.
 
     ``pattern`` is the regex the fast path matches the value's text with,
     and ``load`` turns that text and the document's memo (see
@@ -299,7 +300,6 @@ class _Kind(NamedTuple):
     """
 
     read: Callable[[_Cursor], object]
-    write: Callable[[object], str]
     pattern: str
     load: Callable[[str, dict], object] | None = None
 
@@ -310,14 +310,13 @@ _VALENCES = tuple(valence.value for valence in Valence)
 # The fast path reads intervals written without inner whitespace.
 _SPAN = rf"\[{_NUMBER},{_NUMBER}\)"
 
-_IDENT = _Kind(lambda cur: cur.take("ident").text, str, IDENTIFIER)
-_RATIONAL = _Kind(_rational, format_rational, _NUMBER, _rational_of)
+_IDENT = _Kind(lambda cur: cur.take("ident").text, IDENTIFIER)
+_RATIONAL = _Kind(_rational, _NUMBER, _rational_of)
 _INTERVAL = _Kind(
-    _interval, str, _SPAN, lambda text, memo: _load_interval(text[1:-1], memo)
+    _interval, _SPAN, lambda text, memo: _load_interval(text[1:-1], memo)
 )
 _EXTENT = _Kind(
     _extent,
-    str,
     rf"{_SPAN}(?:\+{_SPAN})*",
     lambda text, memo: IntervalSet(
         tuple(_load_interval(span, memo) for span in text[1:-1].split(")+["))
@@ -325,13 +324,10 @@ _EXTENT = _Kind(
 )
 _VALENCE = _Kind(
     lambda cur: Valence(_one_of(cur, _VALENCES)),
-    lambda valence: valence.value,
     "|".join(_VALENCES),
     lambda text, memo: Valence(text),
 )
-_SET_KEY = _Kind(
-    lambda cur: _one_of(cur, _CONFIG_FIELDS), str, "|".join(_CONFIG_FIELDS)
-)
+_SET_KEY = _Kind(lambda cur: _one_of(cur, _CONFIG_FIELDS), "|".join(_CONFIG_FIELDS))
 
 _REQUIRED = object()
 
@@ -595,11 +591,11 @@ def _serialize_statement(statement: Statement) -> str:
         if isinstance(part, str):
             words.append(part)
         else:
-            words.append(part.kind.write(getattr(statement, part.name)))
+            words.append(str(getattr(statement, part.name)))
     for name, field in shape.fields.items():
         value = getattr(statement, name)
         if field.default is _REQUIRED or value != field.default:
-            words.append(f"{name}={field.kind.write(value)}")
+            words.append(f"{name}={str(value)}")
     return " ".join(words)
 
 

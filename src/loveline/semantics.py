@@ -212,11 +212,9 @@ def _check_threshold(threshold: Fraction) -> None:
 
 
 def _decide(s: Fraction, c: Fraction, threshold: Fraction) -> bool:
-    # c = 0 with s > 0 means love events fill the window; any finite
-    # threshold is then exceeded. s = 0 never holds.
-    if c == 0:
-        return s > 0
-    return threshold < s / c
+    # s + c is the window's positive measure, so c = 0 implies s > 0: love
+    # events fill the window. s = 0 gives s / c = 0, below any threshold.
+    return c == 0 or threshold < s / c
 
 
 def evaluate(

@@ -26,6 +26,7 @@ from loveline import (
     export_graph,
     parse_document,
     project_timeline,
+    serialize_document,
     tick_oracle,
 )
 from loveline.cli import main
@@ -41,6 +42,62 @@ def run_main(*argv: str, capsys) -> tuple[int, str, str]:
 
 def fx(name: str) -> str:
     return str(FIXTURE_DIR / name)
+
+
+WORDING_DOCUMENT = """\
+agent ann
+agent bo
+set threshold 1.25
+acquaintance ann bo at -3/2
+sensation s1 bearer=ann correlate=bo valence=positive intensity=0.5 \
+extent=[-5/2,1/3)+[2,7/2)
+sensation s2 bearer=bo correlate=ann valence=negative extent=[0,1)
+judgment j1 agent=ann target=s1 extent=[-2,3)
+query loves ann bo interval=[-1,5/2) threshold=3/4
+query loves ann bo interval=[1/3,2)
+"""
+
+WORDING_CANONICAL = """\
+# loveline v1
+agent ann
+agent bo
+set threshold 5/4
+acquaintance ann bo at -3/2
+sensation s1 bearer=ann correlate=bo valence=positive intensity=1/2 \
+extent=[-5/2,1/3)+[2,7/2)
+sensation s2 bearer=bo correlate=ann valence=negative extent=[0,1)
+judgment j1 agent=ann target=s1 extent=[-2,3)
+query loves ann bo interval=[-1,5/2) threshold=3/4
+query loves ann bo interval=[1/3,2)
+"""
+
+WORDING_JSON = """\
+[
+  {
+    "subject": "ann",
+    "object": "bo",
+    "interval": "[-1,5/2)",
+    "threshold": "3/4",
+    "holds": true,
+    "s": "11/6",
+    "c": "5/3",
+    "love_events": [
+      "[-1,1/3)",
+      "[2,5/2)"
+    ]
+  },
+  {
+    "subject": "ann",
+    "object": "bo",
+    "interval": "[1/3,2)",
+    "threshold": "5/4",
+    "holds": false,
+    "s": "0",
+    "c": "5/3",
+    "love_events": []
+  }
+]
+"""
 
 
 class TestEval:
@@ -88,7 +145,7 @@ class TestEval:
             }
         ]
 
-    def test_json_and_text_agree(self, capsys):
+    def test_json_and_text_agree(self, capsys, tmp_path):
         code, text_out, _ = run_main("eval", fx("mixed.love"), capsys=capsys)
         assert code == 0
         code, json_out, _ = run_main(
@@ -103,6 +160,23 @@ class TestEval:
                 f"{obj['interval']} T={obj['threshold']}: {word} "
                 f"s={obj['s']} c={obj['c']}"
             )
+        # Every value is worded by str: negative and fractional endpoints,
+        # fractional s and c, and a love event clipped at the window's 5/2.
+        path = tmp_path / "small.love"
+        path.write_text(WORDING_DOCUMENT, encoding="utf-8")
+        code, text_out, _ = run_main("eval", str(path), capsys=capsys)
+        assert code == 0
+        assert text_out == (
+            "loves(ann,bo) over [-1,5/2) T=3/4: HOLDS s=11/6 c=5/3\n"
+            "loves(ann,bo) over [1/3,2) T=5/4: FAILS s=0 c=5/3\n"
+        )
+        code, json_out, _ = run_main(
+            "eval", str(path), "--format", "json", capsys=capsys
+        )
+        assert code == 0
+        assert json_out == WORDING_JSON
+        statements = parse_document(WORDING_DOCUMENT).statements
+        assert serialize_document(statements) == WORDING_CANONICAL
 
     def test_diagnostics_fail_eval(self, capsys):
         code, out, err = run_main("eval", fx("bad.love"), capsys=capsys)

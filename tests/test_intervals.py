@@ -11,6 +11,7 @@ from loveline import (
     EmptyIntervalError,
     Interval,
     IntervalSet,
+    Valence,
     format_rational,
 )
 
@@ -468,6 +469,11 @@ class TestFormatting:
         assert format_rational(F(4)) == "4"
         assert format_rational(F(8, 2)) == "4"
         assert format_rational(F(-5, 3)) == "-5/3"
+        # str's wording, pinned on every Python the project supports.
+        assert format_rational(-4) == str(-4) == "-4"
+        assert format_rational(F(-8, 6)) == str(F(-8, 6)) == "-4/3"
+        assert str(Valence.POSITIVE) == "positive"
+        assert str(Valence.NEGATIVE) == "negative"
 
     def test_format_interval_set(self):
         assert str(iset((0, 2), (4, 6))) == "[0,2)+[4,6)"

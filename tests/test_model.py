@@ -176,6 +176,18 @@ class TestValidateTimeline:
             "judgment 'j' target 'x' is neither an agent nor a sensation episode"
         ]
 
+    def test_non_printable_characters_are_escaped(self):
+        # Written as repr writes them, so each diagnostic is one line.
+        tl = Timeline(agents=("a\nb", "c\x00\u2028"))
+        assert [d.render() for d in validate_timeline(tl)] == [
+            r"E_SYNTAX: agent id 'a\nb' does not match [a-z][a-z0-9_]*",
+            r"E_SYNTAX: agent id 'c\x00\u2028' does not match [a-z][a-z0-9_]*",
+        ]
+        [diag] = validate_timeline(Timeline(agents=("\t" * 50,)))
+        assert diag.message.startswith(
+            "agent id '" + r"\t" * 30 + "...' (50 characters) "
+        )
+
     def test_judgment_target_may_be_agent_or_sensation(self):
         tl = Timeline(
             agents=("a", "b"),

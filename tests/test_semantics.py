@@ -400,6 +400,19 @@ class TestExplain:
         trace = explain("sally", "john", Interval(F(7), F(8)), F(1), timeline_a)
         assert trace.first_failure == "condition (ii) empty"
 
+    def test_mask_covers_a_direct_judgment(self):
+        # Verdicts cannot show an unmasked direct part: condition (i) is
+        # masked too and love is their intersection. Only the trace can.
+        tl = parse_document(
+            "agent a\nagent b\nacquaintance a b at 0\n"
+            "sensation s bearer=a correlate=b valence=positive extent=[0,10)\n"
+            "judgment j agent=a target=b extent=[4,6)\n"
+            "inhibition i agent=a toward=b extent=[3,7)\n"
+        ).timeline
+        trace = explain("a", "b", WINDOW, F(1), tl)
+        assert trace.signals.condition_ii_direct == IntervalSet()
+        assert trace.first_failure == "condition (ii) empty"
+
     def test_signals_reproduce_love_events(self, timeline_a):
         tl = with_inhibition(
             with_judgment(
@@ -620,7 +633,7 @@ class TestTickOracle:
 # pair signals, the signal functions and the interval-set algebra they are
 # built from.
 PRODUCTION_NAMES = frozenset({
-    "_index_of", "_PairIndex", "_pair_index", "_merged", "_signals_of",
+    "_index_of", "_PairIndex", "_pair_index", "_merge", "_signals_of",
     "PairSignals", "signals", "inhibit", "evaluate",
     "condition_i_signal", "condition_ii_components", "inhibition_mask",
     "acquaintance_onset",
