@@ -58,6 +58,16 @@ class Interval:
                 f"{message_rational(self.end)}) has no positive measure"
             )
 
+    @classmethod
+    def _unchecked(cls, start: Fraction, end: Fraction) -> "Interval":
+        # For Fraction ends already known to satisfy start < end, such as a
+        # member clipped at a window edge that lies inside it: the check's
+        # Fraction comparison costs about as much as the rest of the build.
+        result = object.__new__(cls)
+        object.__setattr__(result, "start", start)
+        object.__setattr__(result, "end", end)
+        return result
+
     @property
     def measure(self) -> Fraction:
         return self.end - self.start

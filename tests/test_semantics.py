@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 import random
 import types
 from fractions import Fraction
@@ -37,7 +38,7 @@ from loveline.parser import parse_document
 from loveline.semantics import MAX_ORACLE_TICKS
 
 from conftest import FIXTURE_DIR, WINDOW, build_timeline_a
-from helpers import random_query, random_timeline
+from helpers import THRESHOLDS, random_query, random_timeline
 
 F = Fraction
 
@@ -196,6 +197,25 @@ class TestInhibitionMask:
         assert condition_i_signal("sally", "john", tl) == iset((2, 4), (6, 8))
 
 
+def count_comparisons(monkeypatch) -> dict[str, int]:
+    """Count every Fraction comparison from here on in
+    ``counted["comparisons"]``, so a bound on it holds on any host."""
+    counted = {"comparisons": 0}
+
+    def counting(name):
+        compare = getattr(Fraction, name)
+
+        def counted_compare(a, b):
+            counted["comparisons"] += 1
+            return compare(a, b)
+
+        return counted_compare
+
+    for name in ("__eq__", "__lt__", "__le__", "__gt__", "__ge__"):
+        monkeypatch.setattr(Fraction, name, counting(name))
+    return counted
+
+
 def love_events(interval: Interval, tl: Timeline) -> IntervalSet:
     """sally's love events toward john within ``interval``."""
     return evaluate("sally", "john", interval, F(1), tl).love_events
@@ -259,19 +279,7 @@ class TestEvaluate:
         # Every Fraction comparison made by a cold evaluation is counted,
         # so the bound holds on any host: doubling n may roughly double
         # the count, where a quadratic step would quadruple it.
-        counted = {"comparisons": 0}
-
-        def counting(name):
-            compare = getattr(Fraction, name)
-
-            def counted_compare(a, b):
-                counted["comparisons"] += 1
-                return compare(a, b)
-
-            return counted_compare
-
-        for name in ("__eq__", "__lt__", "__le__", "__gt__", "__ge__"):
-            monkeypatch.setattr(Fraction, name, counting(name))
+        counted = count_comparisons(monkeypatch)
 
         def comparisons(n: int) -> int:
             lines = ["agent a", "agent b", "acquaintance a b at 0"]
@@ -331,19 +339,8 @@ class TestEvaluate:
         assert result.ok
         timeline = result.timeline
 
-        counted = {"comparisons": 0, "intervals": 0}
-
-        def counting(name):
-            compare = getattr(Fraction, name)
-
-            def counted_compare(a, b):
-                counted["comparisons"] += 1
-                return compare(a, b)
-
-            return counted_compare
-
-        for name in ("__eq__", "__lt__", "__le__", "__gt__", "__ge__"):
-            monkeypatch.setattr(Fraction, name, counting(name))
+        counted = count_comparisons(monkeypatch)
+        counted["intervals"] = 0
         post_init = Interval.__post_init__
 
         def counted_post_init(self):
@@ -358,6 +355,152 @@ class TestEvaluate:
         assert 0 < held < len(timeline.queries)
         assert counted["comparisons"] <= 40 * pairs
         assert counted["intervals"] <= 3 * pairs
+
+
+# Extents lie on these grids and windows on the others, so evaluate must
+# rescale the pair record's integers to a finer unit (k > 1) for most
+# windows, and the record's scale L is itself a mix of denominators.
+EXTENT_GRIDS = (3, 7, 10, 12)
+WINDOW_GRIDS = (2, 5, 8, 9)
+# A Mersenne prime: no tick grid of a window on it is within reach.
+HUGE_GRID = 2**61 - 1
+
+
+def grid_extent(rng: random.Random) -> IntervalSet:
+    parts = []
+    for _ in range(rng.randint(1, 2)):
+        d = rng.choice(EXTENT_GRIDS)
+        a = rng.randint(0, 3 * d - 1)
+        parts.append(Interval(F(a, d), F(rng.randint(a + 1, 3 * d), d)))
+    return IntervalSet(tuple(parts))
+
+
+def mixed_grid_timeline(rng: random.Random) -> Timeline:
+    """One pair, ``a`` toward ``b``, with every record inside [0, 3) on
+    a grid of :data:`EXTENT_GRIDS`: sensations on both sides of the
+    intensity floor, derived and direct judgments, maybe a mask."""
+    sensations = tuple(
+        SensationEpisode(f"s{k}", "a", "b", Valence.POSITIVE,
+                         grid_extent(rng), rng.choice((F(1, 4), F(1))))
+        for k in range(rng.randint(1, 3))
+    )
+    judgments = tuple(
+        ValueJudgment(f"j{k}", "a", target, grid_extent(rng))
+        for k, target in enumerate([ep.id for ep in sensations] + ["b"])
+        if rng.random() < 0.7
+    )
+    inhibitions = tuple(
+        InhibitionEpisode("h", "a", rng.choice((None, "b")), grid_extent(rng))
+        for _ in range(rng.randint(0, 1))
+    )
+    d = rng.choice(EXTENT_GRIDS)
+    return Timeline(
+        agents=("a", "b"),
+        acquaintances=(AcquaintanceRecord("a", "b", F(rng.randint(0, d), d)),),
+        sensations=sensations,
+        judgments=judgments,
+        inhibitions=inhibitions,
+        config=Config(min_intensity=F(1, 2)),
+    )
+
+
+def grid_window(rng: random.Random, start_grid: int, end_grid: int) -> Interval:
+    a = F(rng.randint(0, 3 * start_grid - 1), start_grid)
+    lowest = a.numerator * end_grid // a.denominator + 1
+    return Interval(a, F(rng.randint(lowest, 3 * end_grid), end_grid))
+
+
+def endpoint_lcm(timeline: Timeline, window: Interval) -> int:
+    points = [window.start, window.end]
+    points += [rec.at for rec in timeline.acquaintances]
+    for record in (*timeline.sensations, *timeline.judgments,
+                   *timeline.inhibitions):
+        points += [x for iv in record.extent for x in (iv.start, iv.end)]
+    return math.lcm(*(x.denominator for x in points))
+
+
+class TestIntegerDecision:
+    """evaluate decides in integer units of the pair record's scale and
+    the window's denominators; these windows need both."""
+
+    def test_mixed_grids_match_the_tick_oracle(self):
+        rng = random.Random(2207)
+        rescaled = outcomes = 0
+        for _ in range(40):
+            tl = mixed_grid_timeline(rng)
+            for _ in range(3):
+                window = grid_window(rng, rng.choice(WINDOW_GRIDS),
+                                     rng.choice(WINDOW_GRIDS))
+                threshold = rng.choice(THRESHOLDS)
+                fast = evaluate("a", "b", window, threshold, tl)
+                slow = tick_oracle("a", "b", window, threshold, tl,
+                                   F(1, endpoint_lcm(tl, window)))
+                assert fast == slow
+                scale = explain("a", "b", window, threshold, tl).signals.love_scale
+                rescaled += math.lcm(scale, window.start.denominator,
+                                     window.end.denominator) > scale
+                outcomes |= 1 << fast.holds
+        assert rescaled >= 100 and outcomes == 3
+
+    def test_huge_denominators_match_within(self):
+        rng = random.Random(2208)
+        outcomes = 0
+        for _ in range(60):
+            tl = mixed_grid_timeline(rng)
+            for grids in ((HUGE_GRID, HUGE_GRID), (HUGE_GRID, 7),
+                          (3, HUGE_GRID)):
+                window = grid_window(rng, *grids)
+                threshold = rng.choice(THRESHOLDS)
+                verdict = evaluate("a", "b", window, threshold, tl)
+                record = explain("a", "b", window, threshold, tl).signals
+                events = record.love.within(window)
+                s = events.measure()
+                c = window.measure - s
+                assert verdict.love_events == events
+                assert (verdict.s, verdict.c) == (s, c)
+                assert verdict.holds == (c == 0 or threshold < s / c)
+                outcomes |= 1 << verdict.holds
+        assert outcomes == 3
+
+    def test_a_huge_scale_costs_no_comparisons(self, monkeypatch):
+        # 300 love events, each with ends on its own odd prime denominator,
+        # so the record's scale is their product, of 836 digits.
+        # After the cold record build, a query compares no Fractions: its
+        # threshold's sign is its numerator's and its clipped edge intervals
+        # are built unchecked; bisecting the members as Fractions took about
+        # 21 comparisons a query.
+        primes = [p for p in range(3, 2_000)
+                  if all(p % q for q in range(2, math.isqrt(p) + 1))][:300]
+        lines = ["agent a", "agent b", "acquaintance a b at 0",
+                 "judgment j agent=a target=b extent=[0,300)"]
+        lines += [f"sensation s{k} bearer=a correlate=b valence=positive "
+                  f"extent=[{k * p + 1}/{p},{k * p + (p + 1) // 2}/{p})"
+                  for k, p in enumerate(primes)]
+        result = parse_document("".join(line + "\n" for line in lines))
+        assert result.ok
+        tl = result.timeline
+        record = explain("a", "b", Interval(F(0), F(1)), F(1), tl).signals
+        assert len(record.love.intervals) == 300
+        assert len(str(record.love_scale)) == 836
+
+        rng = random.Random(2209)
+        counted = count_comparisons(monkeypatch)
+        outcomes = 0
+        for _ in range(200):
+            window = grid_window(rng, rng.choice((1, 5, 97, HUGE_GRID)),
+                                 rng.choice((1, 9, 101, HUGE_GRID)))
+            window = Interval(window.start * 100, window.end * 100)
+            threshold = rng.choice(THRESHOLDS)
+            counted["comparisons"] = 0
+            verdict = evaluate("a", "b", window, threshold, tl)
+            assert counted["comparisons"] == 0
+            events = record.love.within(window)
+            s = events.measure()
+            c = window.measure - s
+            assert verdict == semantics.Verdict(
+                c == 0 or threshold < s / c, s, c, threshold, events)
+            outcomes |= 1 << verdict.holds
+        assert outcomes == 3
 
 
 class TestLoveStateAt:
@@ -635,10 +778,11 @@ class TestTickOracle:
 PRODUCTION_NAMES = frozenset({
     "_index_of", "_PairIndex", "_pair_index", "_merge", "_signals_of",
     "PairSignals", "signals", "inhibit", "evaluate",
+    "love_scale", "love_edges", "lcm", "bisect_left", "bisect_right",
     "condition_i_signal", "condition_ii_components", "inhibition_mask",
     "acquaintance_onset",
     "union", "intersect", "difference", "clip_from", "within", "meets",
-    "_normalized",
+    "_normalized", "_unchecked",
 })
 
 
