@@ -13,6 +13,7 @@ import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from operator import attrgetter
 from typing import Iterable, Iterator, Union
 
@@ -88,8 +89,10 @@ class IntervalSet:
     tuple is always sorted ascending with ``end_k < start_{k+1}``. Equality
     and hashing therefore coincide with point-set equality. Operations
     whose result is already normalized (``within``, ``intersect``,
-    ``difference``, ``clip_from``) skip the merge; the sorted members also
-    let ``within`` and ``meets`` find a window's edges by bisection.
+    ``difference``, ``clip_from``) skip the merge. ``meets`` bisects the
+    members; ``within`` bisects integer edges that a set works out on its
+    first cut and keeps in an attribute, not a field, so equality, hashing,
+    ``repr`` and ``dataclasses.replace`` skip them.
 
     Sets and members are frozen, so results share them: ``union`` of any
     number of sets with at most one that has members, ``difference`` by an
@@ -129,19 +132,58 @@ class IntervalSet:
         return sum((iv.end - iv.start for iv in self.intervals), Fraction(0))
 
     def within(self, window: Interval) -> "IntervalSet":
-        """Points of ``self`` inside ``window``, found by bisection: only the
-        two edge members of the slice are clipped."""
-        members = self.intervals
-        lo = bisect_right(members, window.start, key=_END)
-        hi = bisect_left(members, window.end, lo, key=_START)
-        if lo == hi:
-            return IntervalSet._normalized(())
-        out = list(members[lo:hi])
-        if out[0].start < window.start:
-            out[0] = Interval(window.start, out[0].end)
-        if out[-1].end > window.end:
-            out[-1] = Interval(out[-1].start, window.end)
-        return IntervalSet._normalized(tuple(out))
+        """Points of ``self`` inside ``window``, by :meth:`_cut`."""
+        return self._cut(window)[0]
+
+    def _cut(self, window: Interval) -> tuple["IntervalSet", int, int, int]:
+        """``(inside, s, c, m)``: the points of ``self`` inside ``window``,
+        their measure ``s`` and the rest of the window's ``c``, both counted
+        in units of ``1/m``. No Fraction is compared: the members are found
+        by bisecting the set's integer edges, worked out on its first cut."""
+        scaled = getattr(self, "_scaled", None)
+        if scaled is None:
+            # L, the lcm of the endpoint denominators, and the edges
+            # s0·L, e0·L, s1·L, …, strictly ascending because the members
+            # are disjoint and not adjacent.
+            points = [x for iv in self.intervals for x in (iv.start, iv.end)]
+            scale = lcm(*(x.denominator for x in points))
+            scaled = (scale, tuple(x.numerator * (scale // x.denominator)
+                                   for x in points))
+            object.__setattr__(self, "_scaled", scaled)
+        scale, edges = scaled
+        # Every measure below is an integer count of 1/m: m is a multiple of
+        # the set's scale and of both window denominators, and one unit of
+        # the set's scale is k of them.
+        a, b = window.start, window.end
+        an, ad = a.as_integer_ratio()
+        bn, bd = b.as_integer_ratio()
+        m = lcm(scale, ad, bd)
+        k = m // scale
+        ws = an * (m // ad)
+        we = bn * (m // bd)
+        # Edges i:j (both even, so each pair is one member) are the members
+        # ending after the window starts, up to the first one starting at or
+        # after it ends. An edge exceeds ws/k exactly when it exceeds its
+        # floor, and reaches we/k exactly when it reaches its ceiling.
+        i = bisect_right(edges, ws // k) & ~1
+        j = (bisect_left(edges, -(-we // k), i) + 1) & ~1
+        members = self.intervals[i // 2:j // 2]
+        s = 0
+        if members:
+            s = k * (sum(edges[i + 1:j:2]) - sum(edges[i:j:2]))
+            first, last = edges[i] * k, edges[j - 1] * k
+            if first < ws or last > we:
+                # A clipped member keeps a positive measure: it ends after ws
+                # and starts before we, so its Interval is built unchecked.
+                clipped = list(members)
+                if first < ws:
+                    s -= ws - first
+                    clipped[0] = Interval._unchecked(a, clipped[0].end)
+                if last > we:
+                    s -= last - we
+                    clipped[-1] = Interval._unchecked(clipped[-1].start, b)
+                members = tuple(clipped)
+        return IntervalSet._normalized(members), s, we - ws - s, m
 
     def meets(self, window: Interval) -> bool:
         """Whether ``self`` and ``window`` share more than an instant."""

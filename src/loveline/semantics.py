@@ -23,10 +23,8 @@ are deliberately kept independent of each other.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import NamedTuple
 
 from .diagnostics import GranularityError, ThresholdError
@@ -57,13 +55,9 @@ class PairSignals(NamedTuple):
     inhibition-masked), so intersecting ``condition_i`` with the union of
     the parts and the window reproduces ``verdict.love_events``.
 
-    ``love_scale`` and ``love_edges`` hold ``love`` in integers, for
-    :func:`evaluate`: ``love_scale`` is ``L``, the lcm of the members'
-    endpoint denominators, and ``love_edges`` is ``s0·L, e0·L, s1·L, …``,
-    strictly ascending because the members are disjoint and not adjacent.
-    :func:`evaluate` finds a window's members by bisecting these integers
-    and decides the ratio by integer cross-multiplication;
-    :func:`tick_oracle` reads none of them.
+    :func:`evaluate` cuts the query window from ``love`` with
+    :meth:`IntervalSet._cut`, which keeps ``love``'s integer edges on the
+    set after the first cut; :func:`tick_oracle` reads none of this.
     """
 
     condition_i: IntervalSet
@@ -73,8 +67,6 @@ class PairSignals(NamedTuple):
     inhibition_mask: IntervalSet
     # condition (i) ∩ (derived ∪ direct): the love events before windowing.
     love: IntervalSet
-    love_scale: int
-    love_edges: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -163,11 +155,7 @@ def _signals_of(subject: str, object_: str, timeline: Timeline) -> PairSignals:
         direct = _EMPTY.union(*index.judgments.get(pair, ()))
         direct = direct.clip_from(onset).difference(mask)
         love = cond_i.intersect(derived.union(direct))
-    points = [x for iv in love.intervals for x in (iv.start, iv.end)]
-    scale = lcm(*(x.denominator for x in points))
-    edges = tuple(x.numerator * (scale // x.denominator) for x in points)
-    signals = PairSignals(cond_i, derived, direct, onset, mask, love,
-                          scale, edges)
+    signals = PairSignals(cond_i, derived, direct, onset, mask, love)
     index.signals[pair] = signals
     return signals
 
@@ -247,52 +235,18 @@ def evaluate(
     _check_threshold(threshold)
     if type(threshold) is not Fraction:
         threshold = Fraction(threshold)
-    signals = _signals_of(subject, object_, timeline)
-    edges, scale = signals.love_edges, signals.love_scale
-    # Every measure below is an integer count of 1/m: m is a multiple of
-    # the record's scale and of both window denominators, and one unit of
-    # the record's scale is k of them.
-    a, b = interval.start, interval.end
-    an, ad = a.as_integer_ratio()
-    bn, bd = b.as_integer_ratio()
-    m = lcm(scale, ad, bd)
-    k = m // scale
-    ws = an * (m // ad)
-    we = bn * (m // bd)
-    # Edges i:j (both even, so each pair is one member) are the members
-    # ending after the window starts, up to the first one starting at or
-    # after it ends: within's slice, bisected in integers. An edge exceeds
-    # ws/k exactly when it exceeds its floor, and reaches we/k exactly when
-    # it reaches its ceiling.
-    i = bisect_right(edges, ws // k) & ~1
-    j = (bisect_left(edges, -(-we // k), i) + 1) & ~1
-    members = signals.love.intervals[i // 2:j // 2]
-    s_int = 0
-    if members:
-        s_int = k * (sum(edges[i + 1:j:2]) - sum(edges[i:j:2]))
-        first, last = edges[i] * k, edges[j - 1] * k
-        if first < ws or last > we:
-            # A clipped member keeps a positive measure: it ends after ws
-            # and starts before we, so its Interval is built unchecked.
-            clipped = list(members)
-            if first < ws:
-                s_int -= ws - first
-                clipped[0] = Interval._unchecked(a, clipped[0].end)
-            if last > we:
-                s_int -= last - we
-                clipped[-1] = Interval._unchecked(clipped[-1].start, b)
-            members = tuple(clipped)
-    c_int = we - ws - s_int
+    record = _signals_of(subject, object_, timeline)
+    events, s, c, m = record.love._cut(interval)
     # s + c is the window's positive measure, so c = 0 implies s > 0: love
     # events fill the window. Otherwise T < s/c, with c > 0, is T·c < s,
     # which fails when s = 0.
     tn, td = threshold.as_integer_ratio()
     return Verdict(
-        holds=c_int == 0 or tn * c_int < td * s_int,
-        s=Fraction(s_int, m),
-        c=Fraction(c_int, m),
+        holds=c == 0 or tn * c < td * s,
+        s=Fraction(s, m),
+        c=Fraction(c, m),
         threshold=threshold,
-        love_events=IntervalSet._normalized(members),
+        love_events=events,
     )
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -53,6 +54,19 @@ def sets_and_windows(draw) -> tuple[IntervalSet, Interval]:
     a, b = draw(st.lists(st.sampled_from(sorted(ends)),
                          min_size=2, max_size=2, unique=True))
     return s, Interval(min(a, b), max(a, b))
+
+
+@st.composite
+def sets_and_off_grid_windows(draw) -> tuple[IntervalSet, Interval]:
+    """A set as in :func:`sets_and_windows` and a window whose ends lie on
+    a grid of 1/7, 1/97 or 1/(2**61 - 1). The set's denominators are at
+    most 8, so the last two grids never divide its scale: the cut rescales
+    its edges (k > 1) and takes the ceiling of the window's end."""
+    s, _ = draw(sets_and_windows())
+    grid = draw(st.sampled_from((7, 97, 2**61 - 1)))
+    a, b = draw(st.lists(st.integers(-21 * grid, 21 * grid),
+                         min_size=2, max_size=2, unique=True))
+    return s, Interval(F(min(a, b), grid), F(max(a, b), grid))
 
 
 def iset(*pairs: tuple) -> IntervalSet:
@@ -396,6 +410,27 @@ class TestWithin:
         inside = s.within(window)
         assert_normalized(inside)
         assert inside == IntervalSet((window,)).intersect(s)
+
+    @settings(deadline=None)
+    @given(sets_and_off_grid_windows())
+    def test_cut_on_a_finer_grid(self, case):
+        s, window = case
+        inside, n, c, m = s._cut(window)
+        assert_normalized(inside)
+        assert inside == s.within(window)
+        assert inside == IntervalSet((window,)).intersect(s)
+        assert F(n, m) == inside.measure()
+        assert F(n + c, m) == window.measure
+
+    def test_cached_edges_are_not_part_of_the_value(self):
+        cut = iset((F(1, 2), 3), (4, F(13, 3)))
+        fresh = IntervalSet(cut.intervals)
+        assert cut.within(Interval(F(1, 3), F(22, 7))) == iset((F(1, 2), 3))
+        assert cut._scaled == (6, (3, 18, 24, 26))
+        assert not hasattr(fresh, "_scaled")
+        assert cut == fresh and hash(cut) == hash(fresh)
+        assert repr(cut) == repr(fresh)
+        assert not hasattr(dataclasses.replace(cut), "_scaled")
 
     @settings(deadline=None)
     @given(sets_and_windows())

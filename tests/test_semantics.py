@@ -436,13 +436,14 @@ class TestIntegerDecision:
                 slow = tick_oracle("a", "b", window, threshold, tl,
                                    F(1, endpoint_lcm(tl, window)))
                 assert fast == slow
-                scale = explain("a", "b", window, threshold, tl).signals.love_scale
+                love = explain("a", "b", window, threshold, tl).signals.love
+                scale = love._scaled[0]
                 rescaled += math.lcm(scale, window.start.denominator,
                                      window.end.denominator) > scale
                 outcomes |= 1 << fast.holds
         assert rescaled >= 100 and outcomes == 3
 
-    def test_huge_denominators_match_within(self):
+    def test_huge_denominators_match_intersect(self):
         rng = random.Random(2208)
         outcomes = 0
         for _ in range(60):
@@ -453,7 +454,7 @@ class TestIntegerDecision:
                 threshold = rng.choice(THRESHOLDS)
                 verdict = evaluate("a", "b", window, threshold, tl)
                 record = explain("a", "b", window, threshold, tl).signals
-                events = record.love.within(window)
+                events = record.love.intersect(IntervalSet((window,)))
                 s = events.measure()
                 c = window.measure - s
                 assert verdict.love_events == events
@@ -481,7 +482,7 @@ class TestIntegerDecision:
         tl = result.timeline
         record = explain("a", "b", Interval(F(0), F(1)), F(1), tl).signals
         assert len(record.love.intervals) == 300
-        assert len(str(record.love_scale)) == 836
+        assert len(str(record.love._scaled[0])) == 836
 
         rng = random.Random(2209)
         counted = count_comparisons(monkeypatch)
@@ -494,13 +495,40 @@ class TestIntegerDecision:
             counted["comparisons"] = 0
             verdict = evaluate("a", "b", window, threshold, tl)
             assert counted["comparisons"] == 0
-            events = record.love.within(window)
+            events = record.love.intersect(IntervalSet((window,)))
             s = events.measure()
             c = window.measure - s
             assert verdict == semantics.Verdict(
                 c == 0 or threshold < s / c, s, c, threshold, events)
             outcomes |= 1 << verdict.holds
         assert outcomes == 3
+
+    def test_a_warm_evaluate_rebuilds_no_edges(self, monkeypatch):
+        # The pair record's love set works out its integer edges on its
+        # first cut and keeps them: a warm query calls lcm only for m. A
+        # replaced timeline builds new records, so it pays the cold build.
+        tl = build_timeline_a()
+        calls = {"lcm": 0}
+
+        def counted_lcm(*args):
+            calls["lcm"] += 1
+            return math.lcm(*args)
+
+        monkeypatch.setattr(intervals, "lcm", counted_lcm)
+        love = explain("sally", "john", WINDOW, F(1), tl).signals.love
+        assert calls["lcm"] == 2
+        for window in (WINDOW, Interval(F(1, 3), F(22, 7)),
+                       Interval(F(5, 3), F(16, 7))):
+            calls["lcm"] = 0
+            evaluate("sally", "john", window, F(1, 3), tl)
+            assert calls["lcm"] == 1
+        calls["lcm"] = 0
+        fresh = dataclasses.replace(tl)
+        assert evaluate("sally", "john", WINDOW, F(1), fresh) == \
+            evaluate("sally", "john", WINDOW, F(1), tl)
+        assert calls["lcm"] == 3
+        fresh_love = explain("sally", "john", WINDOW, F(1), fresh).signals.love
+        assert fresh_love == love and fresh_love is not love
 
 
 class TestLoveStateAt:
@@ -778,7 +806,7 @@ class TestTickOracle:
 PRODUCTION_NAMES = frozenset({
     "_index_of", "_PairIndex", "_pair_index", "_merge", "_signals_of",
     "PairSignals", "signals", "inhibit", "evaluate",
-    "love_scale", "love_edges", "lcm", "bisect_left", "bisect_right",
+    "_cut", "_scaled", "lcm", "bisect_left", "bisect_right",
     "condition_i_signal", "condition_ii_components", "inhibition_mask",
     "acquaintance_onset",
     "union", "intersect", "difference", "clip_from", "within", "meets",
