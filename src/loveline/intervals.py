@@ -89,8 +89,8 @@ class IntervalSet:
     tuple is always sorted ascending with ``end_k < start_{k+1}``. Equality
     and hashing therefore coincide with point-set equality. Operations
     whose result is already normalized (``within``, ``intersect``,
-    ``difference``, ``clip_from``) skip the merge. ``meets`` bisects the
-    members; ``within`` bisects integer edges that a set works out on its
+    ``difference``, ``clip_from``) skip the merge. ``within`` is a set's
+    one window lookup: it bisects integer edges that a set works out on its
     first cut and keeps in an attribute, not a field, so equality, hashing,
     ``repr`` and ``dataclasses.replace`` skip them.
 
@@ -184,12 +184,6 @@ class IntervalSet:
                     clipped[-1] = Interval._unchecked(clipped[-1].start, b)
                 members = tuple(clipped)
         return IntervalSet._normalized(members), s, we - ws - s, m
-
-    def meets(self, window: Interval) -> bool:
-        """Whether ``self`` and ``window`` share more than an instant."""
-        members = self.intervals
-        i = bisect_right(members, window.start, key=_END)
-        return i < len(members) and members[i].start < window.end
 
     def union(self, *others: "IntervalSet") -> "IntervalSet":
         """Every point of ``self`` and ``others``, merged once. When at most

@@ -55,9 +55,9 @@ class PairSignals(NamedTuple):
     inhibition-masked), so intersecting ``condition_i`` with the union of
     the parts and the window reproduces ``verdict.love_events``.
 
-    :func:`evaluate` cuts the query window from ``love`` with
-    :meth:`IntervalSet._cut`, which keeps ``love``'s integer edges on the
-    set after the first cut; :func:`tick_oracle` reads none of this.
+    :func:`evaluate` and :func:`explain` cut the query window from these
+    sets with :meth:`IntervalSet._cut`, which keeps a set's integer edges
+    on it after its first cut; :func:`tick_oracle` reads none of this.
     """
 
     condition_i: IntervalSet
@@ -280,21 +280,25 @@ def explain(
     ``first_failure`` is judged within the query window, earliest stage
     first: no acquaintance, then an empty condition (i), then an empty
     condition (ii), then a ratio at or below the threshold; ``None`` when
-    the predicate holds. The verdict is :func:`evaluate`'s.
+    the predicate holds. The verdict is :func:`evaluate`'s, and it alone
+    decides the stage when the window holds love events.
     """
     verdict = evaluate(subject, object_, interval, threshold, timeline)
     signals = _signals_of(subject, object_, timeline)
+    # love = condition (i) ∩ (derived ∪ direct), so love events in the
+    # window (s > 0) lie in both conditions there: only the ratio can fail.
+    # With s = 0 the verdict fails, since c = 0 would need s > 0.
     if signals.acquaintance_onset is None:
         failure = "no acquaintance"
-    elif not signals.condition_i.meets(interval):
+    elif verdict.s:
+        failure = None if verdict.holds else "ratio below threshold"
+    elif not signals.condition_i.within(interval):
         failure = "condition (i) empty"
-    elif not (signals.condition_ii_derived.meets(interval)
-              or signals.condition_ii_direct.meets(interval)):
+    elif not (signals.condition_ii_derived.within(interval)
+              or signals.condition_ii_direct.within(interval)):
         failure = "condition (ii) empty"
-    elif not verdict.holds:
-        failure = "ratio below threshold"
     else:
-        failure = None
+        failure = "ratio below threshold"
     return Trace(signals, failure, verdict)
 
 

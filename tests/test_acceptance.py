@@ -8,6 +8,7 @@ is exact: no float tolerances anywhere.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 import subprocess
 import sys
@@ -30,6 +31,7 @@ from loveline import (
     Valence,
     ValueJudgment,
     evaluate,
+    explain,
     export_graph,
     parse_document,
     project_timeline,
@@ -174,6 +176,68 @@ def test_conservation_of_measure_on_every_evaluation():
         f"{checked} evaluations"
         if not failures
         else f"failed at {failures[:3]}",
+    )
+
+
+def _oracle_stage(subject: str, object_: str, window: Interval,
+                  threshold: Fraction, timeline: Timeline) -> str | None:
+    """explain's first failing stage, worked out by the tick oracle alone."""
+    if not any(rec.subject == subject and rec.object == object_
+               for rec in timeline.acquaintances):
+        return "no acquaintance"
+    whole = IntervalSet((window,))
+
+    def oracle(tl: Timeline):
+        return tick_oracle(subject, object_, window, threshold, tl,
+                           Fraction(1))
+
+    # A direct judgment over the whole window, acquainted from its start,
+    # makes condition (ii) hold wherever the mask is off: love events are
+    # then exactly condition (i) in the window.
+    judged = dataclasses.replace(
+        timeline,
+        acquaintances=(*timeline.acquaintances,
+                       AcquaintanceRecord(subject, object_, window.start)),
+        judgments=(*timeline.judgments,
+                   ValueJudgment("probe_j", subject, object_, whole)),
+    )
+    if not oracle(judged).s:
+        return "condition (i) empty"
+    # Likewise a strong sensation over the window, which no judgment names:
+    # love events are then exactly condition (ii) in the window.
+    felt = dataclasses.replace(
+        timeline,
+        sensations=(*timeline.sensations,
+                    SensationEpisode("probe_s", subject, object_,
+                                     Valence.POSITIVE, whole, Fraction(1))),
+    )
+    if not oracle(felt).s:
+        return "condition (ii) empty"
+    return None if oracle(timeline).holds else "ratio below threshold"
+
+
+def test_explain_stages_agree_with_the_tick_oracle():
+    rng = random.Random(1111)
+    mismatches = []
+    seen: dict[str | None, int] = {}
+    for case in range(1000):
+        timeline = random_timeline(rng)
+        subject, object_, window, threshold = biased_query(rng, timeline)
+        stage = explain(subject, object_, window, threshold,
+                        timeline).first_failure
+        expected = _oracle_stage(subject, object_, window, threshold, timeline)
+        seen[expected] = seen.get(expected, 0) + 1
+        if stage != expected:
+            mismatches.append((case, stage, expected))
+    stages = {None, "no acquaintance", "condition (i) empty",
+              "condition (ii) empty", "ratio below threshold"}
+    _record(
+        "explain names the stage the tick oracle finds first, on 1000 "
+        "random queries",
+        not mismatches and set(seen) == stages,
+        f"mismatches={mismatches[:3]}, stages={seen}"
+        if mismatches or set(seen) != stages
+        else ", ".join(f"{stage}: {n}" for stage, n in seen.items()),
     )
 
 

@@ -392,11 +392,9 @@ class TestWithin:
     ])
     def test_pinned(self, window: Interval, inside: IntervalSet):
         assert self.S.within(window) == inside
-        assert self.S.meets(window) == bool(inside)
 
     def test_empty_set(self):
         assert IntervalSet().within(Interval(0, 1)) == IntervalSet()
-        assert not IntervalSet().meets(Interval(0, 1))
         assert F(0) not in IntervalSet()
 
     def test_membership_is_half_open(self):
@@ -431,12 +429,6 @@ class TestWithin:
         assert cut == fresh and hash(cut) == hash(fresh)
         assert repr(cut) == repr(fresh)
         assert not hasattr(dataclasses.replace(cut), "_scaled")
-
-    @settings(deadline=None)
-    @given(sets_and_windows())
-    def test_meets_is_a_nonempty_intersection(self, case):
-        s, window = case
-        assert s.meets(window) == bool(IntervalSet((window,)).intersect(s))
 
 
 class TestMeasure:

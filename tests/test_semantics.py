@@ -584,6 +584,51 @@ class TestExplain:
         assert trace.signals.condition_ii_direct == IntervalSet()
         assert trace.first_failure == "condition (ii) empty"
 
+    def test_conditions_that_meet_the_window_apart(self):
+        # Both conditions meet the window but never overlap, so the window
+        # holds no love events and the ratio is the first stage to fail.
+        tl = parse_document(
+            "agent a\nagent b\nacquaintance a b at 0\n"
+            "sensation s bearer=a correlate=b valence=positive extent=[0,2)\n"
+            "judgment j agent=a target=b extent=[5,6)\n"
+        ).timeline
+        trace = explain("a", "b", Interval(F(0), F(7)), F(1), tl)
+        assert trace.verdict.s == 0 and trace.verdict.c == 7
+        assert trace.first_failure == "ratio below threshold"
+
+    def test_a_warm_explain_compares_no_fractions(self, monkeypatch):
+        # Stages are read off the verdict or found by the window cut, which
+        # bisects integers: once each set's edges are kept, no Fraction is
+        # compared on any stage.
+        tl = parse_document(
+            "agent a\nagent b\nagent c\nacquaintance a b at 0\n"
+            "acquaintance a c at 0\n"
+            "sensation s bearer=a correlate=b valence=positive extent=[0,2)\n"
+            "judgment j agent=a target=b extent=[5,6)+[8,9)\n"
+            "inhibition i agent=a toward=b extent=[8,10)\n"
+            "sensation t bearer=a correlate=c valence=positive extent=[0,10)\n"
+            "judgment k agent=a target=c extent=[1/3,6)\n"
+            "query loves a b interval=[3,5)\n"
+            "query loves a b interval=[0,4)\n"
+            "query loves a b interval=[0,7)\n"
+            "query loves a c interval=[0,10) threshold=1\n"
+            "query loves a c interval=[1/7,10) threshold=2\n"
+            "query loves b a interval=[0,10)\n"
+        ).timeline
+
+        def stages() -> list[str | None]:
+            return [explain(q.subject, q.object, q.interval,
+                            q.threshold or F(1), tl).first_failure
+                    for q in tl.queries]
+
+        assert stages() == [
+            "condition (i) empty", "condition (ii) empty",
+            "ratio below threshold", None, "ratio below threshold",
+            "no acquaintance"]
+        counted = count_comparisons(monkeypatch)
+        stages()
+        assert counted["comparisons"] == 0
+
     def test_signals_reproduce_love_events(self, timeline_a):
         tl = with_inhibition(
             with_judgment(
@@ -809,7 +854,7 @@ PRODUCTION_NAMES = frozenset({
     "_cut", "_scaled", "lcm", "bisect_left", "bisect_right",
     "condition_i_signal", "condition_ii_components", "inhibition_mask",
     "acquaintance_onset",
-    "union", "intersect", "difference", "clip_from", "within", "meets",
+    "union", "intersect", "difference", "clip_from", "within",
     "_normalized", "_unchecked",
 })
 
