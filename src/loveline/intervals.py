@@ -53,7 +53,12 @@ class Interval:
             object.__setattr__(self, "start", Fraction(self.start))
         if type(self.end) is not Fraction:
             object.__setattr__(self, "end", Fraction(self.end))
-        if self.start >= self.end:
+        # The one emptiness rule, for both readers and for code: start < end,
+        # cross-multiplied in integers (denominators are positive), since a
+        # Fraction comparison costs about as much as the rest of the build.
+        sn, sd = self.start.as_integer_ratio()
+        en, ed = self.end.as_integer_ratio()
+        if sn * ed >= en * sd:
             raise EmptyIntervalError(
                 f"interval [{message_rational(self.start)},"
                 f"{message_rational(self.end)}) has no positive measure"
@@ -62,8 +67,8 @@ class Interval:
     @classmethod
     def _unchecked(cls, start: Fraction, end: Fraction) -> "Interval":
         # For Fraction ends already known to satisfy start < end, such as a
-        # member clipped at a window edge that lies inside it: the check's
-        # Fraction comparison costs about as much as the rest of the build.
+        # member clipped at a window edge that lies inside it: without the
+        # type tests and the check, the build costs about a quarter less.
         result = object.__new__(cls)
         object.__setattr__(result, "start", start)
         object.__setattr__(result, "end", end)

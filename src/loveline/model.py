@@ -133,6 +133,14 @@ def _duplicate_id(record_id: str, first: str, **where) -> Diagnostic:
     )
 
 
+def _outside_unit(value: Fraction) -> bool:
+    """Whether ``value`` (a Fraction or an int) lies outside ``[0, 1]``:
+    with a positive denominator, ``0 <= n/d <= 1`` is ``0 <= n <= d``, an
+    integer test with no Fraction comparison."""
+    n, d = value.as_integer_ratio()
+    return not 0 <= n <= d
+
+
 def validate_timeline(timeline: Timeline) -> list[Diagnostic]:
     """Check referential integrity and value invariants.
 
@@ -211,7 +219,7 @@ def validate_timeline(timeline: Timeline) -> list[Diagnostic]:
                     record=ep.id,
                 )
             )
-        if not 0 <= ep.intensity <= 1:
+        if _outside_unit(ep.intensity):
             diags.append(
                 Diagnostic(
                     E_INTENSITY_RANGE,
@@ -262,7 +270,7 @@ def validate_timeline(timeline: Timeline) -> list[Diagnostic]:
                 record="config.threshold_default",
             )
         )
-    if not 0 <= timeline.config.min_intensity <= 1:
+    if _outside_unit(timeline.config.min_intensity):
         diags.append(
             Diagnostic(
                 E_INTENSITY_RANGE,

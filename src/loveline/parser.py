@@ -34,8 +34,13 @@ Each line is read one of two ways, with the same result:
   takes the token-by-token reader, :func:`_parse_statement`;
 * diagnostics come only from that reader: a line the fast path cannot
   match or convert is handed to it unchanged;
-* both readers convert each distinct rational text once per document,
-  keeping only successes (:func:`_rational_of`).
+* the fast path delimits a number by its characters alone; both readers
+  check each distinct number text against the one rational grammar and
+  convert it once per document, keeping only successes
+  (:func:`_rational_of`);
+* both readers build an interval through :class:`Interval`, whose one
+  emptiness check is in integers, and keep an extent whose parts are
+  already in order with gaps between them as read (:func:`_extent_of`).
 
 One loop reads each line and files its statement into the timeline;
 :func:`validate_timeline` resolves identifier references after the last
@@ -116,7 +121,7 @@ def _to_fraction(text: str) -> Fraction:
 
 
 def _rational_of(text: str, memo: dict) -> Fraction:
-    """``_to_fraction(text)``, converted once per document.
+    """``parse_rational(text)``, checked and converted once per document.
 
     ``memo`` is the document's own dict of converted texts, which
     :func:`parse_document` creates and drops. Only successes are kept, so
@@ -124,7 +129,7 @@ def _rational_of(text: str, memo: dict) -> Fraction:
     """
     value = memo.get(text)
     if value is None:
-        value = memo[text] = _to_fraction(text)
+        value = memo[text] = parse_rational(text)
     return value
 
 
@@ -267,12 +272,23 @@ def _interval(cur: _Cursor) -> Interval:
         raise _StatementError(str(exc), opening.column, E_EMPTY_INTERVAL) from None
 
 
+def _extent_of(parts: tuple[Interval, ...]) -> IntervalSet:
+    """The extent ``parts`` make. One part, or parts each ending before the
+    next starts (compared in integers), are kept as read; the rest merge."""
+    for i in range(1, len(parts)):
+        an, ad = parts[i - 1].end.as_integer_ratio()
+        bn, bd = parts[i].start.as_integer_ratio()
+        if an * bd >= bn * ad:
+            return IntervalSet(parts)
+    return IntervalSet._normalized(parts)
+
+
 def _extent(cur: _Cursor) -> IntervalSet:
     intervals = [_interval(cur)]
     while cur.peek_punct("+"):
         cur.take("punct", "+")
         intervals.append(_interval(cur))
-    return IntervalSet(tuple(intervals))
+    return _extent_of(tuple(intervals))
 
 
 def _one_of(cur: _Cursor, options: Iterable[str]) -> str:
@@ -306,26 +322,29 @@ class _Kind(NamedTuple):
 
 # ``set`` keys and the Config fields they set.
 _CONFIG_FIELDS = {"threshold": "threshold_default", "min_intensity": "min_intensity"}
-_VALENCES = tuple(valence.value for valence in Valence)
+_VALENCES = {valence.value: valence for valence in Valence}
+# The fast path delimits a number by its characters alone; _rational_of
+# checks each distinct text against the rational grammar once.
+_NUMERAL = r"[-+0-9./]+"
 # The fast path reads intervals written without inner whitespace.
-_SPAN = rf"\[{_NUMBER},{_NUMBER}\)"
+_SPAN = rf"\[{_NUMERAL},{_NUMERAL}\)"
 
 _IDENT = _Kind(lambda cur: cur.take("ident").text, IDENTIFIER)
-_RATIONAL = _Kind(_rational, _NUMBER, _rational_of)
+_RATIONAL = _Kind(_rational, _NUMERAL, _rational_of)
 _INTERVAL = _Kind(
     _interval, _SPAN, lambda text, memo: _load_interval(text[1:-1], memo)
 )
 _EXTENT = _Kind(
     _extent,
     rf"{_SPAN}(?:\+{_SPAN})*",
-    lambda text, memo: IntervalSet(
-        tuple(_load_interval(span, memo) for span in text[1:-1].split(")+["))
+    lambda text, memo: _extent_of(
+        tuple([_load_interval(span, memo) for span in text[1:-1].split(")+[")])
     ),
 )
 _VALENCE = _Kind(
-    lambda cur: Valence(_one_of(cur, _VALENCES)),
+    lambda cur: _VALENCES[_one_of(cur, _VALENCES)],
     "|".join(_VALENCES),
-    lambda text, memo: Valence(text),
+    lambda text, memo: _VALENCES[text],
 )
 _SET_KEY = _Kind(lambda cur: _one_of(cur, _CONFIG_FIELDS), "|".join(_CONFIG_FIELDS))
 
@@ -499,21 +518,22 @@ def parse_document(text: str) -> ParseResult:
     statements: list[Statement] = []
     # The line of each handle the validator can name.
     lines: dict[str, int] = {}
+    # The lines of the records without an id, whose handles are worded only
+    # when the validator has something to say.
+    unnamed: dict[str, list[int]] = {"acquaintance": [], "query": []}
     declared: dict[str, str] = {}
     records: dict[str, list] = {head: [] for head in _GRAMMAR}
     config: dict[str, Fraction] = {}
     # Each distinct rational text, converted once for this document.
     memo: dict[str, Fraction] = {}
-    seeking_header = True
-    text = text.removeprefix("\ufeff")
     # Lines end at LF only (str.splitlines also ends them at U+2028, U+0085,
     # form feed and more); one CR before the LF is dropped.
-    for line_no, raw in enumerate(text.split("\n"), start=1):
+    rows = text.removeprefix("\ufeff").split("\n")
+    for line_no, raw in enumerate(rows, start=1):
         raw = raw.removesuffix("\r")
-        if seeking_header and raw.strip(" \t"):
+        if raw.strip(" \t"):
             # Only the first non-blank line can be the header, and it is
             # optional: any other first line is read as usual.
-            seeking_header = False
             header = _HEADER_RE.match(raw)
             if header is not None and header[1] != "1":
                 diags.append(
@@ -525,6 +545,9 @@ def parse_document(text: str) -> ParseResult:
                         column=header.start(1),
                     )
                 )
+            break
+    for line_no, raw in enumerate(rows, start=1):
+        raw = raw.removesuffix("\r")
         statement = _fast_statement(raw, memo)
         if statement is None:
             try:
@@ -545,8 +568,8 @@ def parse_document(text: str) -> ParseResult:
             lines[f"config.{name}"] = line_no
             continue
         kept = records[head]
-        if head in ("acquaintance", "query"):
-            lines[f"{head}[{len(kept)}]"] = line_no
+        if head in unnamed:
+            unnamed[head].append(line_no)
         else:
             # Ids share one namespace so judgment targets resolve without
             # ambiguity; the first declaration wins, later ones error.
@@ -569,7 +592,11 @@ def parse_document(text: str) -> ParseResult:
         queries=tuple(records["query"]),
         config=Config(**config),
     )
-    for diag in validate_timeline(timeline):
+    found = validate_timeline(timeline)
+    if found:
+        for head, numbers in unnamed.items():
+            lines.update((f"{head}[{i}]", n) for i, n in enumerate(numbers))
+    for diag in found:
         line = lines.get(diag.record or "")
         diags.append(replace(diag, line=line, column=None if line is None else 1))
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .diagnostics import GranularityError, ThresholdError
 from .intervals import Interval, IntervalSet, message_rational
@@ -307,8 +307,9 @@ def explain(
 MAX_ORACLE_TICKS = 1_000_000
 
 
-def _timeline_endpoints(timeline: Timeline, interval: Interval) -> list[Fraction]:
-    points: list[Fraction] = [interval.start, interval.end]
+def _timeline_endpoints(timeline: Timeline) -> list[Fraction]:
+    """Every endpoint of the timeline's records, in the timeline's order."""
+    points: list[Fraction] = []
     for rec in timeline.acquaintances:
         points.append(rec.at)
     for ep in timeline.sensations:
@@ -358,12 +359,30 @@ def tick_oracle(
     # a/b divided by p/q is whole iff b*p divides a*q: integer arithmetic,
     # with no Fraction built per endpoint.
     p, q = granularity.numerator, granularity.denominator
-    for point in _timeline_endpoints(timeline, interval):
-        if (point.numerator * q) % (point.denominator * p):
-            raise GranularityError(
-                f"granularity {message_rational(granularity)} does not divide "
-                f"endpoint {message_rational(point)}"
-            )
+
+    def off_grid(points: Iterable[Fraction]) -> Fraction | None:
+        return next(
+            (x for x in points if (x.numerator * q) % (x.denominator * p)), None
+        )
+
+    # The window's ends first, on every call. The rest of the timeline is
+    # checked once per granularity: its first off-grid endpoint, or None, is
+    # kept in an attribute only the oracle reads, which a timeline made by
+    # dataclasses.replace does not have.
+    point = off_grid((interval.start, interval.end))
+    if point is None:
+        checked = getattr(timeline, "_oracle_off_grid", None)
+        if checked is None:
+            checked = {}
+            object.__setattr__(timeline, "_oracle_off_grid", checked)
+        if granularity not in checked:
+            checked[granularity] = off_grid(_timeline_endpoints(timeline))
+        point = checked[granularity]
+    if point is not None:
+        raise GranularityError(
+            f"granularity {message_rational(granularity)} does not divide "
+            f"endpoint {message_rational(point)}"
+        )
     floor = timeline.config.min_intensity
 
     # Once per query, before any tick: only the pair's own records can

@@ -244,6 +244,26 @@ class TestValidateTimeline:
             "digits> outside [0, 1]"
         ]
 
+    def test_int_intensity_is_range_checked_in_integers(self):
+        # A timeline built in code may give an int intensity; the range
+        # check reads it as n/1. Messages are the parent's, word for word.
+        tl = Timeline(
+            agents=("a", "b"),
+            sensations=tuple(
+                SensationEpisode(
+                    f"s{i}", "a", "b", Valence.POSITIVE, ext(0, 1), value
+                )
+                for i, value in enumerate([0, 1, 2, -1])
+            ),
+        )
+        assert [(d.code, d.message, d.record)
+                for d in validate_timeline(tl)] == [
+            ("E_INTENSITY_RANGE", "sensation 's2' intensity 2 outside [0, 1]",
+             "s2"),
+            ("E_INTENSITY_RANGE", "sensation 's3' intensity -1 outside [0, 1]",
+             "s3"),
+        ]
+
     def test_empty_extents(self):
         tl = Timeline(
             agents=("a", "b"),

@@ -23,6 +23,7 @@ from loveline import parser
 from loveline.parser import HEADER, DslSyntaxError
 
 from conftest import FIXTURE_DIR, build_timeline_a
+from test_bench_contract import SHRUNK, corpus
 
 F = Fraction
 
@@ -830,6 +831,12 @@ def test_fast_path_agrees_with_the_token_reader(lines):
     "set min_intensity 0",
     "query loves a b interval=[0,10) threshold=1/3",
     "query loves a b interval=[0,10)",
+    # Extents out of order, overlapping or abutting merge; one already
+    # normalized is kept as read.
+    "judgment j1 agent=a target=s1 extent=[4,5)+[0,1)",
+    "judgment j1 agent=a target=s1 extent=[0,2)+[1,3)",
+    "judgment j1 agent=a target=s1 extent=[0,1/2)+[2/4,1)",
+    "judgment j1 agent=a target=s1 extent=[0,1)+[1.5,2)+[7/2,4)",
 ])
 def test_canonical_lines_take_the_fast_path(line):
     fast = parser._fast_statement(line, {})
@@ -851,6 +858,16 @@ def test_canonical_lines_take_the_fast_path(line):
     "judgment j1 agent=a target=s1 extent=[2,1)",
     "  agent a",
     "agent\ta",
+    # The fast path delimits numbers by their characters alone; a text
+    # outside the rational grammar is left to the token reader.
+    "acquaintance a b at 1/2/3",
+    "acquaintance a b at --1",
+    "acquaintance a b at 1..2",
+    "acquaintance a b at .",
+    "acquaintance a b at 1/",
+    "acquaintance a b at /2",
+    "judgment j1 agent=a target=s1 extent=[1e3,2)",
+    "judgment j1 agent=a target=s1 extent=[+-1,2)",
 ])
 def test_other_lines_fall_back_to_the_token_reader(line):
     assert parser._fast_statement(line, {}) is None
@@ -862,4 +879,101 @@ def test_every_serialized_statement_takes_the_fast_path():
         lines = serialize_document(statements).splitlines()[1:]
         assert [repr(parser._fast_statement(line, {})) for line in lines] == [
             repr(statement) for statement in statements
+        ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(parts=st.lists(
+    st.tuples(st.integers(0, 12), st.integers(1, 4), st.sampled_from([1, 2, 3])),
+    min_size=1, max_size=4,
+))
+def test_extents_are_kept_as_read_only_when_already_normalized(parts):
+    members = tuple(
+        Interval(F(start, den), F(start + length, den))
+        for start, length, den in parts
+    )
+    extent = parser._extent_of(members)
+    merged = IntervalSet(members).intervals
+    assert extent.intervals == merged
+    # Parts each ending before the next starts are the normalized form.
+    if merged == members:
+        assert extent.intervals is members
+
+
+@pytest.mark.parametrize("name", sorted(SHRUNK))
+def test_a_benchmark_corpus_reads_the_same_on_both_readers(name):
+    # Every line of the benchmark's corpora takes the fast path; the token
+    # reader alone must give the same document.
+    text, _ = corpus.generate(SHRUNK[name], 7, name)
+    rows = [row for row in text.split("\n") if row and row[0] != "#"]
+    assert all(parser._fast_statement(row, {}) is not None for row in rows)
+    fast, slow = parse_document(text), _slow_only_parse(text)
+    assert fast.diagnostics == slow.diagnostics == ()
+    assert len(fast.statements) == len(rows)
+    assert repr(fast.statements) == repr(slow.statements)
+    assert fast.timeline == slow.timeline
+
+
+# 2**61 - 1, a prime: ends on its grid cross-multiply to 122-bit integers.
+_P = 2**61 - 1
+
+
+class TestIntegerChecks:
+    """Emptiness and intensity range are decided in integers; every
+    expected diagnostic below is the one the Fraction comparisons gave."""
+
+    @staticmethod
+    def both(text: str) -> list[str]:
+        fast, slow = parse_document(text), _slow_only_parse(text)
+        assert fast.diagnostics == slow.diagnostics
+        assert repr(fast.statements) == repr(slow.statements)
+        return [d.render() for d in fast.diagnostics]
+
+    def test_equal_ends_written_two_ways(self):
+        assert self.both(
+            "agent a\nagent b\n"
+            "judgment j1 agent=a target=b extent=[1/2,2/4)\n"
+            "judgment j2 agent=a target=b extent=[0,1)+[0.5,1/2)\n"
+            "query loves a b interval=[0.5,1/2)\n"
+            "judgment j3 agent=a target=b extent=[ 1/2 , 2/4 )\n"
+        ) == [
+            "3:37: E_EMPTY_INTERVAL: interval [1/2,1/2) has no positive measure",
+            "4:43: E_EMPTY_INTERVAL: interval [1/2,1/2) has no positive measure",
+            "5:26: E_EMPTY_INTERVAL: interval [1/2,1/2) has no positive measure",
+            "6:37: E_EMPTY_INTERVAL: interval [1/2,1/2) has no positive measure",
+        ]
+
+    def test_ends_on_a_fine_grid(self):
+        half = 2**60  # half/_P lies just above 1/2
+        assert self.both(
+            "agent a\nagent b\n"
+            f"judgment j1 agent=a target=b extent=[1/{_P},2/{_P})\n"
+            f"judgment j2 agent=a target=b extent=[2/{_P},1/{_P})\n"
+            f"judgment j3 agent=a target=b extent=[{half}/{_P},1/2)\n"
+            f"judgment j4 agent=a target=b extent=[1/2,{half}/{_P})\n"
+            f"judgment j5 agent=a target=b extent=[{_P}/{_P},1)\n"
+        ) == [
+            "4:37: E_EMPTY_INTERVAL: interval "
+            f"[2/{_P},1/{_P}) has no positive measure",
+            "5:37: E_EMPTY_INTERVAL: interval "
+            f"[{half}/{_P},1/2) has no positive measure",
+            "7:37: E_EMPTY_INTERVAL: interval [1,1) has no positive measure",
+        ]
+
+    def test_intensity_bounds(self):
+        values = ["0", "1", "1/1", "-0", "101/100", "-1/100"]
+        assert self.both(
+            "agent a\nagent b\n"
+            + "".join(
+                f"sensation s{i} bearer=a correlate=b valence=positive "
+                f"intensity={value} extent=[0,1)\n"
+                for i, value in enumerate(values)
+            )
+            + "set min_intensity 101/100\n"
+        ) == [
+            "7:1: E_INTENSITY_RANGE: sensation 's4' intensity 101/100 "
+            "outside [0, 1]",
+            "8:1: E_INTENSITY_RANGE: sensation 's5' intensity -1/100 "
+            "outside [0, 1]",
+            "9:1: E_INTENSITY_RANGE: min_intensity 101/100 outside [0, 1]",
         ]

@@ -825,6 +825,62 @@ class TestTickOracle:
         v = tick_oracle("sally", "john", WINDOW, F(1), tl, F(1, 2))
         assert v.s == 4
 
+    def test_the_timeline_is_checked_once_per_granularity(
+        self, timeline_a, monkeypatch
+    ):
+        calls: list[Timeline] = []
+        endpoints = semantics._timeline_endpoints
+
+        def counting(timeline: Timeline) -> list[Fraction]:
+            calls.append(timeline)
+            return endpoints(timeline)
+
+        monkeypatch.setattr(semantics, "_timeline_endpoints", counting)
+        tl = dataclasses.replace(timeline_a)
+        windows = [Interval(F(a), F(a + n)) for a in range(5) for n in (1, 5)]
+        for window in windows:
+            for granularity in (F(1), F(1, 2)):
+                tick_oracle("sally", "john", window, F(1), tl, granularity)
+        assert len(calls) == 2 and all(seen is tl for seen in calls)
+        # A window off the grid still fails at every call.
+        for _ in range(2):
+            with pytest.raises(GranularityError, match="endpoint 1/3"):
+                tick_oracle("sally", "john", Interval(F(1, 3), F(1)), F(1),
+                            tl, F(1))
+        assert len(calls) == 2
+        # A timeline made by dataclasses.replace is checked afresh.
+        again = dataclasses.replace(tl)
+        tick_oracle("sally", "john", WINDOW, F(1), again, F(1))
+        assert len(calls) == 3 and calls[-1] is again
+
+    def test_the_first_off_grid_endpoint_is_named(self, timeline_a):
+        # The window's ends first, then the timeline's endpoints in its
+        # order: acquaintances, sensations, judgments, inhibitions, queries.
+        # Messages are the parent's, word for word.
+        tl = dataclasses.replace(
+            timeline_a,
+            acquaintances=(AcquaintanceRecord("sally", "john", F(1, 3)),),
+            judgments=(dataclasses.replace(
+                timeline_a.judgments[0], extent=iset((F(1, 5), 7))
+            ),),
+        )
+        cases = [
+            (WINDOW, F(1), "granularity 1 does not divide endpoint 1/3"),
+            # Again: the second call reads the kept result.
+            (WINDOW, F(1), "granularity 1 does not divide endpoint 1/3"),
+            (Interval(F(1, 7), F(10)), F(1),
+             "granularity 1 does not divide endpoint 1/7"),
+            (WINDOW, F(1, 3), "granularity 1/3 does not divide endpoint 1/5"),
+            (Interval(F(0), F(9, 2)), F(1, 3),
+             "granularity 1/3 does not divide endpoint 9/2"),
+        ]
+        for window, granularity, message in cases:
+            with pytest.raises(GranularityError) as info:
+                tick_oracle("sally", "john", window, F(1), tl, granularity)
+            assert str(info.value) == message
+        v = tick_oracle("sally", "john", WINDOW, F(1), tl, F(1, 15))
+        assert v == evaluate("sally", "john", WINDOW, F(1), tl)
+
     def test_granularity_must_be_positive(self, timeline_a):
         with pytest.raises(GranularityError):
             tick_oracle("sally", "john", WINDOW, F(1), timeline_a, F(0))
