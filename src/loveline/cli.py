@@ -200,12 +200,16 @@ def _cmd_oracle(timeline: Timeline, args: Namespace) -> tuple[int, str]:
         fast = evaluate(*asked)
         slow = _guarded(n, lambda: tick_oracle(*asked, args.granularity))
         if fast != slow:
-            ours, theirs = _query_line(query, fast), _outcome(slow)
-            if fast.love_events != slow.love_events:
-                ours += f" love_events={_format_set(fast.love_events)}"
-                theirs += f" love_events={_format_set(slow.love_events)}"
-            mismatches.append(f"mismatch {ours} != oracle {theirs}\n")
+            mismatches.append(_guarded(n, lambda: _mismatch(query, fast, slow)))
     return (1 if mismatches else 0), "".join(mismatches)
+
+
+def _mismatch(query: QuerySpec, fast: Verdict, slow: Verdict) -> str:
+    ours, theirs = _query_line(query, fast), _outcome(slow)
+    if fast.love_events != slow.love_events:
+        ours += f" love_events={_format_set(fast.love_events)}"
+        theirs += f" love_events={_format_set(slow.love_events)}"
+    return f"mismatch {ours} != oracle {theirs}\n"
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -19,17 +19,18 @@ other version is an error. One leading byte-order mark (U+FEFF) is
 dropped, so it neither breaks the first statement nor hides the header.
 
 :data:`_GRAMMAR` is the single source of the statement shapes: for each
-head word it gives the record class, the positional part and the
-``key=value`` fields in canonical order with their defaults. Reading a
-statement, building the timeline and writing canonical text all walk it;
-the writer words every value with ``str`` (``3/4``, ``[0,1)+[2,3)``).
+head word it gives the record class, the positional part, the
+``key=value`` fields in canonical order with their defaults, and the fast
+path's regex compiled from them. Reading a statement, building the
+timeline and writing canonical text all walk it; the writer words every
+value with ``str`` (``3/4``, ``[0,1)+[2,3)``).
 
 Each line is read one of two ways, with the same result:
 
 * a well-formed line with its fields in canonical order takes the fast
   path when it starts with its head word and has blanks only between
-  words (none around ``=`` or inside an extent): one regex per head word,
-  compiled from :data:`_GRAMMAR`, matches the whole line;
+  words (none around ``=`` or inside an extent): the regex on the head
+  word's own :data:`_GRAMMAR` shape matches the whole line;
 * every other line (fields out of order, other spacing, or any defect)
   takes the token-by-token reader, :func:`_parse_statement`;
 * diagnostics come only from that reader: a line the fast path cannot
@@ -99,24 +100,19 @@ def parse_rational(token: str) -> Fraction:
 
     Raises :class:`DslSyntaxError` on malformed tokens, a zero
     denominator, or more digits than Python converts to an integer.
-    Decimals convert exactly, never through binary floats.
+    Decimals convert exactly, never through binary floats: ``Fraction``
+    reads integers, fractions and decimals of ASCII digits as written.
     """
     if not _RATIONAL_RE.match(token):
         raise DslSyntaxError(f"malformed rational {_quoted(token)}")
-    return _to_fraction(token)
-
-
-def _to_fraction(text: str) -> Fraction:
-    """Convert a ``_NUMBER`` match exactly: ``Fraction`` reads integers,
-    fractions and decimals of ASCII digits as written."""
     try:
-        return Fraction(text)
+        return Fraction(token)
     except ZeroDivisionError:
-        raise DslSyntaxError(f"zero denominator in {_quoted(text)}") from None
+        raise DslSyntaxError(f"zero denominator in {_quoted(token)}") from None
     except ValueError:
         # Python's int/str conversion limit (sys.get_int_max_str_digits).
         raise DslSyntaxError(
-            f"rational of {len(text)} characters has too many digits"
+            f"rational of {len(token)} characters has too many digits"
         ) from None
 
 
@@ -358,26 +354,55 @@ class _Field(NamedTuple):
 
 
 class _Shape(NamedTuple):
+    """One statement shape, with the fast path compiled from it: ``regex``
+    matches the whole well-formed line, and ``loads`` gives ``(group, load,
+    default)`` for each field whose text is converted."""
+
+    head: str
     record: type
     positional: tuple[str | _Field, ...]  # a bare string is a literal keyword
     fields: dict[str, _Field]  # key=value fields, in canonical order
+    regex: re.Pattern[str]
+    loads: tuple[tuple[str, Callable[[str, dict], object], object], ...]
 
 
-def _shape(record: type, positional: tuple, *fields: _Field) -> _Shape:
-    return _Shape(record, positional, {field.name: field for field in fields})
+def _shape(head: str, record: type, positional: tuple, *fields: _Field) -> _Shape:
+    """The shape, and its regex: the head, the positional part, the fields
+    in canonical order (optional ones optional), then a comment."""
+    pattern = [re.escape(head)]
+    loads = []
+    for part in positional:
+        if isinstance(part, str):
+            pattern.append(rf"[ \t]+{re.escape(part)}")
+        else:
+            pattern.append(rf"[ \t]+(?P<{part.name}>{part.kind.pattern})")
+            loads.append(part)
+    for field in fields:
+        item = rf"[ \t]+{field.name}=(?P<{field.name}>{field.kind.pattern})"
+        pattern.append(item if field.default is _REQUIRED else f"(?:{item})?")
+        loads.append(field)
+    pattern.append(r"[ \t]*(?:#|\Z)")
+    # An absent optional field's group is None, which must be its default
+    # unless its kind converts text.
+    assert all(f.kind.load or f.default in (_REQUIRED, None) for f in loads)
+    return _Shape(
+        head, record, positional, {field.name: field for field in fields},
+        re.compile("".join(pattern)),
+        tuple((f.name, f.kind.load, f.default) for f in loads if f.kind.load),
+    )
 
 
 _ID = _Field("id", _IDENT)
 
-_GRAMMAR: dict[str, _Shape] = {
-    "agent": _shape(AgentDecl, (_Field("name", _IDENT),)),
-    "acquaintance": _shape(
-        AcquaintanceRecord,
+_GRAMMAR: dict[str, _Shape] = {shape.head: shape for shape in (
+    _shape("agent", AgentDecl, (_Field("name", _IDENT),)),
+    _shape(
+        "acquaintance", AcquaintanceRecord,
         (_Field("subject", _IDENT), _Field("object", _IDENT),
          "at", _Field("at", _RATIONAL)),
     ),
-    "sensation": _shape(
-        SensationEpisode,
+    _shape(
+        "sensation", SensationEpisode,
         (_ID,),
         _Field("bearer", _IDENT),
         _Field("correlate", _IDENT),
@@ -385,87 +410,49 @@ _GRAMMAR: dict[str, _Shape] = {
         _Field("intensity", _RATIONAL, Fraction(1)),
         _Field("extent", _EXTENT),
     ),
-    "judgment": _shape(
-        ValueJudgment,
+    _shape(
+        "judgment", ValueJudgment,
         (_ID,),
         _Field("agent", _IDENT),
         _Field("target", _IDENT),
         _Field("extent", _EXTENT),
     ),
-    "inhibition": _shape(
-        InhibitionEpisode,
+    _shape(
+        "inhibition", InhibitionEpisode,
         (_ID,),
         _Field("agent", _IDENT),
         _Field("toward", _IDENT, None),
         _Field("extent", _EXTENT),
     ),
-    "set": _shape(SetDirective, (_Field("key", _SET_KEY), _Field("value", _RATIONAL))),
-    "query": _shape(
-        QuerySpec,
+    _shape("set", SetDirective, (_Field("key", _SET_KEY), _Field("value", _RATIONAL))),
+    _shape(
+        "query", QuerySpec,
         ("loves", _Field("subject", _IDENT), _Field("object", _IDENT)),
         _Field("interval", _INTERVAL),
         _Field("threshold", _RATIONAL, None),
     ),
-}
+)}
 
 _HEADS = {shape.record: head for head, shape in _GRAMMAR.items()}
-
-
-class _Fast(NamedTuple):
-    """One head word's fast path: a regex for the whole well-formed line,
-    and ``(group, load, default)`` for each field whose text is converted."""
-
-    regex: re.Pattern[str]
-    record: type
-    loads: tuple[tuple[str, Callable[[str], object], object], ...]
-
-
-def _fast(head: str, shape: _Shape) -> _Fast:
-    """Compile ``shape`` into one regex: the head, the positional part, the
-    fields in canonical order (optional ones optional), then a comment."""
-    pattern = [re.escape(head)]
-    loads = []
-    for part in shape.positional:
-        if isinstance(part, str):
-            pattern.append(rf"[ \t]+{re.escape(part)}")
-        else:
-            pattern.append(rf"[ \t]+(?P<{part.name}>{part.kind.pattern})")
-            loads.append(part)
-    for name, field in shape.fields.items():
-        item = rf"[ \t]+{name}=(?P<{name}>{field.kind.pattern})"
-        pattern.append(item if field.default is _REQUIRED else f"(?:{item})?")
-        loads.append(field)
-    pattern.append(r"[ \t]*(?:#|\Z)")
-    # An absent optional field's group is None, which must be its default
-    # unless its kind converts text.
-    assert all(f.kind.load or f.default in (_REQUIRED, None) for f in loads)
-    return _Fast(
-        re.compile("".join(pattern)),
-        shape.record,
-        tuple((f.name, f.kind.load, f.default) for f in loads if f.kind.load),
-    )
-
-
-_FAST = {head: _fast(head, shape) for head, shape in _GRAMMAR.items()}
 
 
 def _fast_statement(line: str, memo: dict) -> Statement | None:
     """Read a well-formed line whose fields are in canonical order, or
     return ``None`` so that :func:`_parse_statement` reads it instead."""
-    fast = _FAST.get(line.partition(" ")[0])
-    if fast is None:
+    shape = _GRAMMAR.get(line.partition(" ")[0])
+    if shape is None:
         return None
-    match = fast.regex.match(line)
+    match = shape.regex.match(line)
     if match is None:
         return None
     values = match.groupdict()
     try:
-        for name, load, default in fast.loads:
+        for name, load, default in shape.loads:
             text = values[name]
             values[name] = default if text is None else load(text, memo)
     except (DslSyntaxError, EmptyIntervalError):
         return None
-    return fast.record(**values)
+    return shape.record(**values)
 
 
 def _parse_statement(line: str, memo: dict) -> Statement | None:

@@ -544,6 +544,21 @@ class TestDigitLimit:
         assert (code, err) == (0, "")
         assert out.startswith("loves(a,b) over [5,6) T=1: FAILS s=0 c=1\n")
 
+    def test_oracle_names_an_unprintable_mismatch_and_prints_nothing(
+        self, capsys, monkeypatch
+    ):
+        # An evaluator whose s is off by 1/7**6000 disagrees with the oracle
+        # on every query, and its s has more digits than Python prints.
+        def skewed(*args):
+            verdict = evaluate(*args)
+            return dataclasses.replace(verdict, s=verdict.s + Fraction(1, 7**6000))
+
+        monkeypatch.setattr("loveline.cli.evaluate", skewed)
+        code, out, err = run_main("oracle", str(FIXTURE_DIR / "mixed.love"),
+                                  "--granularity", "1/4", capsys=capsys)
+        message = self.MESSAGE.replace("query 2", "query 1")
+        assert (code, out, err) == (1, "", message)
+
     def test_oracle_tick_count_over_the_limit(self, capsys, tmp_path):
         # 10**8000 ticks: over the cap, and too many digits to print. The
         # failure is the cap, so the message names the cap, not the count.

@@ -306,13 +306,13 @@ class TestConversionPerDocument:
     @staticmethod
     def counted(monkeypatch) -> list[str]:
         calls: list[str] = []
-        convert = parser._to_fraction
+        convert = parser.parse_rational
 
         def counting(text: str) -> Fraction:
             calls.append(text)
             return convert(text)
 
-        monkeypatch.setattr(parser, "_to_fraction", counting)
+        monkeypatch.setattr(parser, "parse_rational", counting)
         return calls
 
     def test_once_per_distinct_text(self, monkeypatch):

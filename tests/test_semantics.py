@@ -262,6 +262,25 @@ class TestEvaluate:
         with pytest.raises(ThresholdError):
             evaluate("sally", "john", WINDOW, F(-1), timeline_a)
 
+    def test_int_threshold_reads_as_its_fraction(self, timeline_a):
+        args = ("sally", "john", WINDOW)
+        v = evaluate(*args, 1, timeline_a)
+        assert v == evaluate(*args, F(1), timeline_a)
+        assert type(v.threshold) is Fraction
+        assert explain(*args, 1, timeline_a) == explain(*args, F(1), timeline_a)
+        for t in (F(1), F(5)):
+            assert love_state_at("sally", "john", t, WINDOW, 1, timeline_a) == (
+                love_state_at("sally", "john", t, WINDOW, F(1), timeline_a)
+            )
+        oracle = tick_oracle(*args, 1, timeline_a, F(1))
+        assert oracle == tick_oracle(*args, F(1), timeline_a, F(1)) == v
+        assert type(oracle.threshold) is Fraction
+        for threshold in (0, -1):
+            with pytest.raises(ThresholdError):
+                evaluate(*args, threshold, timeline_a)
+            with pytest.raises(ThresholdError):
+                tick_oracle(*args, threshold, timeline_a, F(1))
+
     def test_unprintable_threshold_is_named_by_the_limit(self, timeline_a):
         with pytest.raises(ThresholdError, match=r"^threshold <more than \d+ "
                            r"digits> must be positive$"):
