@@ -15,7 +15,6 @@ byte-deterministic for identical inputs.
 
 from __future__ import annotations
 
-import json
 import sys
 from argparse import ArgumentParser, ArgumentTypeError, Namespace
 from fractions import Fraction
@@ -24,7 +23,7 @@ from typing import Callable, Sequence, TypeVar
 from .diagnostics import LovelineError
 from .model import QuerySpec, Timeline
 from .parser import DslSyntaxError, parse_document, parse_rational
-from .ontology import export_graph, project_timeline
+from .ontology import _graph_rows, _render_rows
 from .semantics import Trace, Verdict, evaluate, explain, tick_oracle
 
 _T = TypeVar("_T")
@@ -87,8 +86,10 @@ def _build_parser() -> ArgumentParser:
     bfo = sub.add_parser("export-bfo", help="project the timeline to an "
                          "ontology graph and print it")
     bfo.add_argument("file")
+    # The same bytes as export_graph(project_timeline(timeline)), written
+    # from the projection's rows without building its records.
     bfo.set_defaults(run=lambda timeline, args: (
-        0, export_graph(project_timeline(timeline))))
+        0, _render_rows(*_graph_rows(timeline))))
 
     orc = sub.add_parser("oracle", help="cross-check evaluate against the "
                          "tick oracle for every query")
@@ -134,28 +135,38 @@ def _query_line(query: QuerySpec, verdict: Verdict) -> str:
     )
 
 
-def _query_record(query: QuerySpec, verdict: Verdict) -> dict:
-    return {
-        "subject": query.subject,
-        "object": query.object,
-        "interval": str(query.interval),
-        "threshold": str(verdict.threshold),
-        "holds": verdict.holds,
-        "s": str(verdict.s),
-        "c": str(verdict.c),
-        "love_events": [str(iv) for iv in verdict.love_events],
-    }
+def _query_json(query: QuerySpec, verdict: Verdict) -> str:
+    """The query's object in ``json.dumps(..., indent=2)``'s layout, as an
+    element of the top-level array. No value needs an escape: ids match
+    ``model.IDENTIFIER``, and a rational or an interval is written with
+    digits, ``-``, ``/``, ``[``, ``,`` and ``)`` alone."""
+    events = '",\n      "'.join(map(str, verdict.love_events))
+    events = f'[\n      "{events}"\n    ]' if events else "[]"
+    return (
+        "  {\n"
+        f'    "subject": "{query.subject}",\n'
+        f'    "object": "{query.object}",\n'
+        f'    "interval": "{query.interval}",\n'
+        f'    "threshold": "{str(verdict.threshold)}",\n'
+        f'    "holds": {"true" if verdict.holds else "false"},\n'
+        f'    "s": "{str(verdict.s)}",\n'
+        f'    "c": "{str(verdict.c)}",\n'
+        f'    "love_events": {events}\n'
+        "  }"
+    )
 
 
 def _cmd_eval(timeline: Timeline, args: Namespace) -> tuple[int, str]:
-    render = _query_line if args.format == "text" else _query_record
+    render = _query_line if args.format == "text" else _query_json
     results = []
     for n, query in enumerate(timeline.queries, start=1):
         verdict = evaluate(*_asked(query, timeline))
         results.append(_guarded(n, lambda: render(query, verdict)))
     if args.format == "text":
         return 0, "".join(line + "\n" for line in results)
-    return 0, json.dumps(results, indent=2) + "\n"
+    if not results:
+        return 0, "[]\n"
+    return 0, "[\n" + ",\n".join(results) + "\n]\n"
 
 
 def _format_set(s) -> str:

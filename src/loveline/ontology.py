@@ -16,7 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple, Sequence
+from operator import attrgetter
+from typing import Iterator, NamedTuple, Sequence
 
 from .diagnostics import (
     Diagnostic,
@@ -62,14 +63,19 @@ _PARENT: dict[BfoClass, BfoClass | None] = {
 }
 
 
+def _lineage(cls: BfoClass | None) -> Iterator[BfoClass]:
+    while cls is not None:
+        yield cls
+        cls = _PARENT[cls]
+
+
+# Each class with every class above it, itself included: walked once here.
+_ANCESTORS = {cls: frozenset(_lineage(cls)) for cls in BfoClass}
+
+
 def check_subclass(a: BfoClass, b: BfoClass) -> bool:
     """True iff ``a`` is ``b`` or lies below it in the lattice."""
-    cursor: BfoClass | None = a
-    while cursor is not None:
-        if cursor is b:
-            return True
-        cursor = _PARENT[cursor]
-    return False
+    return b in _ANCESTORS[a]
 
 
 class RelationKind(Enum):
@@ -143,6 +149,22 @@ _CONSTRAINTS = {
 }
 
 
+def _under(classes: tuple[BfoClass, ...]) -> frozenset[BfoClass]:
+    """Every class that is one of ``classes`` or lies below one of them."""
+    return frozenset(
+        cls for cls in BfoClass if not _ANCESTORS[cls].isdisjoint(classes)
+    )
+
+
+# _CONSTRAINTS with each side's classes widened to every class that fits
+# it, so that checking a side is one membership test.
+_FITS = {
+    kind: (_under(dom_classes), dom_text, _under(rng_classes), rng_text)
+    for kind, (dom_classes, dom_text, rng_classes, rng_text)
+    in _CONSTRAINTS.items()
+}
+
+
 def validate(
     individuals: Sequence[Individual],
     relations: Sequence[RelationAssertion],
@@ -169,45 +191,44 @@ def validate(
             by_id[ind.id] = ind
 
     about_subjects = set()
+    is_about = RelationKind.IS_ABOUT
     for rel in relations:
-        handle = rel.render()
-        missing = False
-        for role, ref in (("subject", rel.subject), ("object", rel.object)):
-            if ref not in by_id:
-                diags.append(
-                    Diagnostic(
-                        E_UNKNOWN_REF,
-                        f"{role} {_quoted(ref)} of {rel.kind.value} is not a "
-                        f"declared individual",
-                        record=handle,
+        kind, subject, object_ = rel.kind, rel.subject, rel.object
+        if subject not in by_id or object_ not in by_id:
+            for role, ref in (("subject", subject), ("object", object_)):
+                if ref not in by_id:
+                    diags.append(
+                        Diagnostic(
+                            E_UNKNOWN_REF,
+                            f"{role} {_quoted(ref)} of {kind.value} is not a "
+                            f"declared individual",
+                            record=rel.render(),
+                        )
                     )
-                )
-                missing = True
-        if missing:
             continue
-        if rel.kind is RelationKind.IS_ABOUT:
-            about_subjects.add(rel.subject)
-        dom_classes, dom_text, rng_classes, rng_text = _CONSTRAINTS[rel.kind]
-        for role, ref, code, classes, text in (
-            ("subject", rel.subject, E_DOMAIN, dom_classes, dom_text),
-            ("object", rel.object, E_RANGE, rng_classes, rng_text),
+        if kind is is_about:
+            about_subjects.add(subject)
+        dom_fits, dom_text, rng_fits, rng_text = _FITS[kind]
+        if by_id[subject].cls in dom_fits and by_id[object_].cls in rng_fits:
+            continue
+        for role, ref, code, fits, text in (
+            ("subject", subject, E_DOMAIN, dom_fits, dom_text),
+            ("object", object_, E_RANGE, rng_fits, rng_text),
         ):
             cls = by_id[ref].cls
-            if not any(check_subclass(cls, c) for c in classes):
+            if cls not in fits:
                 diags.append(
                     Diagnostic(
                         code,
-                        f"{rel.kind.value} {role} {_quoted(ref)} is "
+                        f"{kind.value} {role} {_quoted(ref)} is "
                         f"{cls.value}, expected {text}",
-                        record=handle,
+                        record=rel.render(),
                     )
                 )
 
+    content = BfoClass.INFORMATION_CONTENT_ENTITY
     for ind in by_id.values():
-        if (
-            check_subclass(ind.cls, BfoClass.INFORMATION_CONTENT_ENTITY)
-            and ind.id not in about_subjects
-        ):
+        if content in _ANCESTORS[ind.cls] and ind.id not in about_subjects:
             diags.append(
                 Diagnostic(
                     E_ABOUTNESS,
@@ -217,6 +238,67 @@ def validate(
                 )
             )
     return diags
+
+
+def _graph_rows(timeline: Timeline) -> tuple[list[tuple], list[tuple]]:
+    """The projection of :func:`project_timeline` as plain rows.
+
+    One ``(id, class, label)`` row per individual and one ``(subject,
+    kind, object)`` row per relation, in emission order. Each class and
+    kind is written as its enum value (``"Agent"``, ``"inheres_in"``), the
+    word the export prints, so rendering reads no enum member.
+    :func:`project_timeline` builds its records from these rows, and
+    ``export-bfo`` renders them with :func:`_render_rows` without building
+    any record.
+    """
+    individuals = [(name, "Agent", name) for name in timeline.agents]
+    relations = []
+
+    sensations = {}
+    for ep in timeline.sensations:
+        sensations[ep.id] = ep
+        individuals.append((
+            ep.id,
+            "Quality",
+            f"{ep.valence.value} sensation of {ep.bearer} "
+            f"correlated with {ep.correlate}",
+        ))
+        relations.append((ep.id, "inheres_in", ep.bearer))
+        relations.append((ep.id, "causally_correlated_with", ep.correlate))
+
+    for j in timeline.judgments:
+        act_id = f"act:{j.id}"
+        disp_id = f"disp:{j.id}"
+        ice_id = f"ice:{j.id}"
+        individuals.append(
+            (act_id, "Process", f"act of judgment by {j.agent}")
+        )
+        individuals.append(
+            (disp_id, "Disposition", f"judgment disposition of {j.agent}")
+        )
+        individuals.append(
+            (ice_id, "InformationContentEntity", f"content of judgment {j.id}")
+        )
+        relations.append((disp_id, "inheres_in", j.agent))
+        relations.append((disp_id, "realized_in", act_id))
+        relations.append((j.agent, "participates_in", act_id))
+        relations.append((ice_id, "is_about", j.target))
+        target = sensations.get(j.target)
+        if target is not None:
+            relations.append((ice_id, "is_about", target.correlate))
+
+    for agent in dict.fromkeys(inh.agent for inh in timeline.inhibitions):
+        disp_id = f"inhib:{agent}"
+        individuals.append(
+            (disp_id, "Disposition", f"inhibitory control of {agent}")
+        )
+        relations.append((disp_id, "inheres_in", agent))
+
+    return individuals, relations
+
+
+_CLASS_OF = {cls.value: cls for cls in BfoClass}
+_KIND_OF = {kind.value: kind for kind in RelationKind}
 
 
 def project_timeline(timeline: Timeline) -> OntologyGraph:
@@ -238,78 +320,30 @@ def project_timeline(timeline: Timeline) -> OntologyGraph:
     timeline declares, even one built in code, matches ``[a-z][a-z0-9_]*``
     and so has no ``:``, which keeps minted ids apart from all of them.
     """
-    individuals: list[Individual] = []
-    relations: list[RelationAssertion] = []
+    individuals, relations = _graph_rows(timeline)
+    return OntologyGraph(
+        tuple([
+            Individual(id_, _CLASS_OF[tag], label)
+            for id_, tag, label in individuals
+        ]),
+        tuple([
+            RelationAssertion(_KIND_OF[kind], subject, object_)
+            for subject, kind, object_ in relations
+        ]),
+    )
 
-    for name in timeline.agents:
-        individuals.append(Individual(name, BfoClass.AGENT, name))
 
-    sensations = {ep.id: ep for ep in timeline.sensations}
-    for ep in timeline.sensations:
-        individuals.append(
-            Individual(
-                ep.id,
-                BfoClass.QUALITY,
-                f"{ep.valence.value} sensation of {ep.bearer} "
-                f"correlated with {ep.correlate}",
-            )
-        )
-        relations.append(
-            RelationAssertion(RelationKind.INHERES_IN, ep.id, ep.bearer)
-        )
-        relations.append(
-            RelationAssertion(
-                RelationKind.CAUSALLY_CORRELATED_WITH, ep.id, ep.correlate
-            )
-        )
-
-    for j in timeline.judgments:
-        act_id = f"act:{j.id}"
-        disp_id = f"disp:{j.id}"
-        ice_id = f"ice:{j.id}"
-        individuals.append(
-            Individual(act_id, BfoClass.PROCESS, f"act of judgment by {j.agent}")
-        )
-        individuals.append(
-            Individual(
-                disp_id, BfoClass.DISPOSITION, f"judgment disposition of {j.agent}"
-            )
-        )
-        individuals.append(
-            Individual(
-                ice_id,
-                BfoClass.INFORMATION_CONTENT_ENTITY,
-                f"content of judgment {j.id}",
-            )
-        )
-        relations.append(
-            RelationAssertion(RelationKind.INHERES_IN, disp_id, j.agent)
-        )
-        relations.append(
-            RelationAssertion(RelationKind.REALIZED_IN, disp_id, act_id)
-        )
-        relations.append(
-            RelationAssertion(RelationKind.PARTICIPATES_IN, j.agent, act_id)
-        )
-        relations.append(
-            RelationAssertion(RelationKind.IS_ABOUT, ice_id, j.target)
-        )
-        target = sensations.get(j.target)
-        if target is not None:
-            relations.append(
-                RelationAssertion(RelationKind.IS_ABOUT, ice_id, target.correlate)
-            )
-
-    for agent in dict.fromkeys(inh.agent for inh in timeline.inhibitions):
-        disp_id = f"inhib:{agent}"
-        individuals.append(
-            Individual(
-                disp_id, BfoClass.DISPOSITION, f"inhibitory control of {agent}"
-            )
-        )
-        relations.append(RelationAssertion(RelationKind.INHERES_IN, disp_id, agent))
-
-    return OntologyGraph(tuple(individuals), tuple(relations))
+def _render_rows(individuals, relations) -> str:
+    """The text of :func:`export_graph` for rows shaped as
+    :func:`_graph_rows` returns them."""
+    lines = sorted([
+        f'individual {id_} {tag} "{label}"' for id_, tag, label in individuals
+    ])
+    lines += sorted([
+        f"{subject} {kind} {object_}" for subject, kind, object_ in relations
+    ])
+    lines.append("")  # the last line's newline
+    return "\n".join(lines)
 
 
 def export_graph(graph: OntologyGraph) -> str:
@@ -319,9 +353,7 @@ def export_graph(graph: OntologyGraph) -> str:
     one assertion per line ``<subject> <kind> <object>``, each block in
     lexicographic order, so equal graphs export byte-identically.
     """
-    lines = sorted(
-        f'individual {ind.id} {ind.cls.value} "{ind.label}"'
-        for ind in graph.individuals
+    return _render_rows(
+        map(attrgetter("id", "cls.value", "label"), graph.individuals),
+        map(attrgetter("subject", "kind.value", "object"), graph.relations),
     )
-    lines.extend(sorted(rel.render() for rel in graph.relations))
-    return "".join(line + "\n" for line in lines)

@@ -11,6 +11,7 @@ import os
 import random
 import subprocess
 import sys
+import textwrap
 from fractions import Fraction
 
 import pytest
@@ -100,6 +101,132 @@ WORDING_JSON = """\
 """
 
 
+def run_quiet(*argv: str) -> tuple[int, str, str]:
+    """``run_main`` without capsys, for Hypothesis tests."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def json_records(timeline) -> list[dict]:
+    """What ``eval --format json`` prints, as objects for ``json.dumps``."""
+    records = []
+    for q in timeline.queries:
+        threshold = q.threshold
+        if threshold is None:
+            threshold = timeline.config.threshold_default
+        verdict = evaluate(q.subject, q.object, q.interval, threshold, timeline)
+        records.append({
+            "subject": q.subject,
+            "object": q.object,
+            "interval": str(q.interval),
+            "threshold": str(verdict.threshold),
+            "holds": verdict.holds,
+            "s": str(verdict.s),
+            "c": str(verdict.c),
+            "love_events": [str(iv) for iv in verdict.love_events],
+        })
+    return records
+
+
+def clean_fixtures() -> list:
+    paths = sorted(FIXTURE_DIR.glob("*.love"))
+    parsed = [parse_document(p.read_text(encoding="utf-8")) for p in paths]
+    return [(str(p), r.timeline) for p, r in zip(paths, parsed) if r.ok]
+
+
+_AGENTS = ("ann", "bo", "cy")
+# Endpoints on thirds and halves, negative ones included.
+_ENDPOINTS = st.builds(
+    Fraction, st.integers(-18, 18), st.sampled_from((1, 2, 3))
+)
+
+
+def _spans(lengths: tuple) -> st.SearchStrategy[str]:
+    return st.builds(
+        lambda start, length: f"[{start},{start + length})",
+        _ENDPOINTS, st.sampled_from(lengths),
+    )
+
+
+# Part lengths that make parts of one extent overlap, touch or stand apart.
+_INTERVALS = _spans((Fraction(1, 2), Fraction(7, 3), 4, 8))
+_EXTENTS = st.lists(_INTERVALS, min_size=1, max_size=3).map("+".join)
+_WINDOWS = _spans((Fraction(1, 2), 5, 24, 40))
+
+
+@st.composite
+def documents(draw) -> str:
+    """A valid document: sensations judged by their bearers or not,
+    several inhibitions per agent, zero or more queries with and without
+    their own threshold, and extents of one to three parts. Most
+    sensations are judged by their bearers, often over the same extent,
+    and queries often ask about a sensation's pair over a wide window, so
+    that love events of one part and of several come up often."""
+    agents = _AGENTS[:draw(st.integers(2, 3))]
+    pairs = [(a, b) for a in agents for b in agents if a != b]
+    lines = [f"agent {a}" for a in agents]
+    if draw(st.booleans()):
+        lines.append(f"set threshold {draw(st.sampled_from(('1/3', '2')))}")
+    for a, b in pairs:
+        if draw(st.integers(0, 3)):
+            lines.append(f"acquaintance {a} {b} at {draw(_ENDPOINTS) - 12}")
+
+    sensations = []
+    judgments = []
+    for k in range(draw(st.integers(0, 4))):
+        bearer, correlate = draw(st.sampled_from(pairs))
+        valence = draw(st.sampled_from(("positive", "positive", "negative")))
+        intensity = draw(st.sampled_from(("", " intensity=1/4")))
+        extent = draw(_EXTENTS)
+        lines.append(
+            f"sensation s{k} bearer={bearer} correlate={correlate} "
+            f"valence={valence}{intensity} extent={extent}"
+        )
+        sensations.append((bearer, correlate))
+        if draw(st.integers(0, 3)):
+            judged = draw(st.sampled_from((extent, draw(_EXTENTS))))
+            judgments.append((bearer, f"s{k}", judged))
+    for _ in range(draw(st.integers(0, 2))):
+        agent, target = draw(st.sampled_from(pairs))
+        judgments.append((agent, target, draw(_EXTENTS)))
+    for k, (agent, target, extent) in enumerate(judgments):
+        lines.append(
+            f"judgment j{k} agent={agent} target={target} extent={extent}"
+        )
+    for k in range(draw(st.integers(0, 4))):
+        agent = draw(st.sampled_from(agents))
+        toward = draw(st.sampled_from(
+            [""] + [f" toward={b}" for b in agents if b != agent]
+        ))
+        lines.append(
+            f"inhibition i{k} agent={agent}{toward} extent={draw(_EXTENTS)}"
+        )
+    for _ in range(draw(st.integers(0, 4))):
+        a, b = draw(st.sampled_from(sensations or pairs) | st.sampled_from(pairs))
+        threshold = draw(
+            st.sampled_from(("", " threshold=1/4", " threshold=5/3"))
+        )
+        lines.append(
+            f"query loves {a} {b} interval={draw(_WINDOWS)}{threshold}"
+        )
+    return "".join(line + "\n" for line in lines)
+
+
+@settings(max_examples=100, deadline=None)
+@given(text=documents())
+def test_json_and_export_are_the_library_bytes(text, tmp_path_factory):
+    timeline = parse_document(text).timeline
+    assert timeline is not None, text
+    path = tmp_path_factory.getbasetemp() / "document.love"
+    path.write_text(text, encoding="utf-8")
+    expected = json.dumps(json_records(timeline), indent=2) + "\n"
+    assert run_quiet("eval", str(path), "--format", "json") == (0, expected, "")
+    expected = export_graph(project_timeline(timeline))
+    assert run_quiet("export-bfo", str(path)) == (0, expected, "")
+
+
 class TestEval:
     def test_timeline_a_text(self, capsys):
         code, out, err = run_main("eval", fx("timeline_a.love"), capsys=capsys)
@@ -177,6 +304,29 @@ class TestEval:
         assert json_out == WORDING_JSON
         statements = parse_document(WORDING_DOCUMENT).statements
         assert serialize_document(statements) == WORDING_CANONICAL
+
+    def test_json_is_the_stdlib_encoding(self, capsys, tmp_path):
+        # The layout is written directly; json.dumps(..., indent=2) is the
+        # reference, on every fixture and on WORDING_DOCUMENT's negative and
+        # fractional values, per-query threshold and love events of two
+        # parts and of none.
+        path = tmp_path / "wording.love"
+        path.write_text(WORDING_DOCUMENT, encoding="utf-8")
+        runs = clean_fixtures()
+        runs.append((str(path), parse_document(WORDING_DOCUMENT).timeline))
+        for name, timeline in runs:
+            code, out, err = run_main("eval", name, "--format", "json",
+                                      capsys=capsys)
+            expected = json.dumps(json_records(timeline), indent=2) + "\n"
+            assert (code, out, err) == (0, expected, ""), name
+
+    def test_json_without_queries_is_an_empty_array(self, capsys, tmp_path):
+        path = tmp_path / "none.love"
+        path.write_text("agent ann\nagent bo\n", encoding="utf-8")
+        code, out, err = run_main("eval", str(path), "--format", "json",
+                                  capsys=capsys)
+        assert (code, out, err) == (0, "[]\n", "")
+        assert out == json.dumps([], indent=2) + "\n"
 
     def test_diagnostics_fail_eval(self, capsys):
         code, out, err = run_main("eval", fx("bad.love"), capsys=capsys)
@@ -335,6 +485,39 @@ class TestExportBfo:
         assert out == export_graph(graph)
         assert 'individual sally Agent "sally"' in out
         assert "ice:j1 is_about john" in out
+
+    def test_every_fixture_matches_library_export(self, capsys):
+        for name, timeline in clean_fixtures():
+            code, out, err = run_main("export-bfo", name, capsys=capsys)
+            expected = export_graph(project_timeline(timeline))
+            assert (code, out, err) == (0, expected, ""), name
+
+    def test_empty_timeline_exports_nothing(self, capsys, tmp_path):
+        path = tmp_path / "empty.love"
+        path.write_text("# loveline v1\n", encoding="utf-8")
+        assert run_main("export-bfo", str(path), capsys=capsys) == (0, "", "")
+
+    def test_several_inhibitions_and_a_judged_sensation(self, capsys, tmp_path):
+        text = (
+            "agent ann\nagent bo\n"
+            "sensation s1 bearer=ann correlate=bo valence=positive "
+            "extent=[0,4)\n"
+            "judgment j1 agent=ann target=s1 extent=[1,3)\n"
+            "inhibition i1 agent=ann toward=bo extent=[1,2)\n"
+            "inhibition i2 agent=ann extent=[5,6)\n"
+            "inhibition i3 agent=bo extent=[0,1)\n"
+        )
+        path = tmp_path / "inhibitions.love"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run_main("export-bfo", str(path), capsys=capsys)
+        graph = project_timeline(parse_document(text).timeline)
+        assert (code, out, err) == (0, export_graph(graph), "")
+        lines = out.splitlines()
+        assert lines.count('individual inhib:ann Disposition '
+                           '"inhibitory control of ann"') == 1
+        assert "inhib:bo inheres_in bo" in lines
+        assert "ice:j1 is_about s1" in lines
+        assert "ice:j1 is_about bo" in lines
 
 
 class TestOracle:
@@ -784,6 +967,28 @@ class TestModuleEntryPoint:
         first = outputs("0")
         assert [code for code, _, _ in first] == [1] + [0] * 8
         assert outputs("1") == first
+
+    def test_no_command_imports_json(self):
+        # pytest imports json itself, so only a fresh interpreter can show
+        # that neither the import nor any command's output path loads it.
+        script = textwrap.dedent("""\
+            import contextlib, io, sys
+            from loveline.cli import main
+            assert "json" not in sys.modules, "import loveline.cli"
+            for argv in (["check"], ["eval"], ["eval", "--format", "json"],
+                         ["explain", "--query", "1"], ["export-bfo"],
+                         ["oracle", "--granularity", "1"]):
+                with contextlib.redirect_stdout(io.StringIO()):
+                    assert main([*argv, sys.argv[1]]) == 0, argv
+                assert "json" not in sys.modules, argv
+        """)
+        env = dict(os.environ,
+                   PYTHONPATH=str(FIXTURE_DIR.parent.parent / "src"))
+        result = subprocess.run(
+            [sys.executable, "-c", script, fx("mixed.love")],
+            capture_output=True, encoding="utf-8", env=env,
+        )
+        assert (result.returncode, result.stderr) == (0, "")
 
     def test_c_locale_reads_utf8(self, tmp_path):
         # Under the C locale, with UTF-8 mode and locale coercion off,

@@ -18,7 +18,7 @@ from loveline import (
     project_timeline,
     validate,
 )
-from loveline.ontology import OntologyGraph
+from loveline.ontology import _CONSTRAINTS, _PARENT, OntologyGraph
 
 from conftest import build_timeline_a
 from helpers import random_timeline
@@ -203,6 +203,56 @@ class TestValidate:
             "continuant",
         ]
 
+    def test_diagnostics_come_in_a_fixed_order(self):
+        # Duplicate ids first, then each assertion's in turn (subject before
+        # object), then content entities without aboutness.
+        inds = [Q1, ICE, AG, Individual("q1", BfoClass.AGENT, "again"),
+                Individual("ic2", ICE.cls, "another content")]
+        rels = [
+            RelationAssertion(RelationKind.INHERES_IN, "ag", "q1"),
+            RelationAssertion(RelationKind.IS_ABOUT, "ghost", "ag"),
+            RelationAssertion(RelationKind.IS_ABOUT, "ic", "q1"),
+            RelationAssertion(RelationKind.REALIZED_IN, "q1", "nowhere"),
+            RelationAssertion(RelationKind.CAUSALLY_CORRELATED_WITH, "q1", "ag"),
+            RelationAssertion(RelationKind.PARTICIPATES_IN, "ag", "ic"),
+        ]
+        assert [(d.code, d.message, d.record) for d in validate(inds, rels)] == [
+            ("E_DUP_ID", "duplicate individual id 'q1'", "q1"),
+            ("E_DOMAIN", "inheres_in subject 'ag' is Agent, expected a "
+             "specifically dependent continuant", "ag inheres_in q1"),
+            ("E_RANGE", "inheres_in object 'q1' is Quality, expected an "
+             "independent continuant", "ag inheres_in q1"),
+            ("E_UNKNOWN_REF", "subject 'ghost' of is_about is not a declared "
+             "individual", "ghost is_about ag"),
+            ("E_UNKNOWN_REF", "object 'nowhere' of realized_in is not a "
+             "declared individual", "q1 realized_in nowhere"),
+            ("E_RANGE", "participates_in object 'ic' is "
+             "InformationContentEntity, expected a process",
+             "ag participates_in ic"),
+            ("E_ABOUTNESS", "information content entity 'ic2' has no "
+             "is_about assertion", "ic2"),
+        ]
+
+    def test_every_kind_and_class_pair_against_the_lattice(self):
+        # Each side fits when its class lies under one of the constraint's
+        # classes, read here by walking the parent links.
+        def under(cls, classes):
+            while cls is not None:
+                if cls in classes:
+                    return True
+                cls = _PARENT[cls]
+            return False
+
+        for kind, (dom, _, rng, _) in _CONSTRAINTS.items():
+            for a, b in itertools.product(ALL_CLASSES, repeat=2):
+                inds = [Individual("s", a, "s"), Individual("o", b, "o")]
+                rel = RelationAssertion(kind, "s", "o")
+                got = [d.code for d in validate(inds, [rel])
+                       if d.code != "E_ABOUTNESS"]
+                expected = ["E_DOMAIN"] * (not under(a, dom))
+                expected += ["E_RANGE"] * (not under(b, rng))
+                assert got == expected, (kind, a, b)
+
     def test_order_independent_multiset(self):
         inds = [Q1, Q2, AG, PR, ICE]
         rels = [
@@ -368,3 +418,34 @@ class TestExportGraph:
             tuple(reversed(g.individuals)), tuple(reversed(g.relations))
         )
         assert export_graph(flipped) == export_graph(g)
+
+    def test_hand_built_graph_is_sorted_by_whole_lines(self):
+        # Out of order, a duplicate id and a duplicate assertion, a dangling
+        # reference, and ids that are prefixes of one another or hold a
+        # space: each block sorts by its rendered lines and keeps them all.
+        g = OntologyGraph(
+            (
+                Individual("zed", BfoClass.AGENT, "zed"),
+                Individual("ab", BfoClass.QUALITY, "a quality"),
+                Individual("a", BfoClass.PROCESS, "a process"),
+                Individual("zed", BfoClass.DISPOSITION, "zed again"),
+                Individual("a b", BfoClass.AGENT, 'spaced, "quoted"'),
+            ),
+            (
+                RelationAssertion(RelationKind.PARTICIPATES_IN, "zed", "a"),
+                RelationAssertion(RelationKind.INHERES_IN, "ab", "zed"),
+                RelationAssertion(RelationKind.INHERES_IN, "ab", "zed"),
+                RelationAssertion(RelationKind.IS_ABOUT, "a", "ghost"),
+            ),
+        )
+        assert export_graph(g) == (
+            'individual a Process "a process"\n'
+            'individual a b Agent "spaced, "quoted""\n'
+            'individual ab Quality "a quality"\n'
+            'individual zed Agent "zed"\n'
+            'individual zed Disposition "zed again"\n'
+            "a is_about ghost\n"
+            "ab inheres_in zed\n"
+            "ab inheres_in zed\n"
+            "zed participates_in a\n"
+        )
