@@ -40,6 +40,23 @@ def message_rational(value: Rational) -> str:
         return f"<more than {sys.get_int_max_str_digits()} digits>"
 
 
+def _lt(a: Rational, b: Rational) -> bool:
+    """``a < b`` for two endpoints, each an ``int`` or a ``Fraction``,
+    cross-multiplied in integers (denominators are positive): comparing
+    Fractions runs the ``numbers.Rational`` instance check, which costs
+    more than the products."""
+    an, ad = a.as_integer_ratio()
+    bn, bd = b.as_integer_ratio()
+    return an * bd < bn * ad
+
+
+def _le(a: Rational, b: Rational) -> bool:
+    """``a <= b``, in integers as :func:`_lt`."""
+    an, ad = a.as_integer_ratio()
+    bn, bd = b.as_integer_ratio()
+    return an * bd <= bn * ad
+
+
 @dataclass(frozen=True)
 class Interval:
     """Half-open span ``[start, end)`` with ``start < end``."""
@@ -104,6 +121,11 @@ class IntervalSet:
     empty set and ``clip_from`` at or before the first start return an
     operand itself, and a member that ``intersect`` or ``difference``
     leaves whole is the input member, not a copy.
+
+    ``intersect``, ``difference``, ``clip_from`` and the merge compare
+    endpoints by :func:`_lt` and :func:`_le`, in integers and with no
+    scale kept; only the merge's sort, in a union of several sets,
+    compares Fractions.
     """
 
     intervals: tuple[Interval, ...] = ()
@@ -207,17 +229,17 @@ class IntervalSet:
         i = j = 0
         while i < len(a) and j < len(b):
             x, y = a[i], b[j]
-            if x.end <= y.end:
+            if _le(x.end, y.end):
                 i += 1
             else:
                 x, y = y, x
                 j += 1
             # x ends first, so it lies inside y when it starts no earlier,
             # and y lies inside x when it starts later and they end together.
-            if x.start >= y.start:
+            if _le(y.start, x.start):
                 out.append(x)
-            elif y.start < x.end:
-                out.append(y if y.end == x.end else Interval(y.start, x.end))
+            elif _lt(y.start, x.end):
+                out.append(y if _le(y.end, x.end) else Interval(y.start, x.end))
         return IntervalSet._normalized(tuple(out))
 
     def difference(self, other: "IntervalSet") -> "IntervalSet":
@@ -230,12 +252,12 @@ class IntervalSet:
         j = 0
         for iv in self.intervals:
             cursor = iv.start
-            while j < len(cuts) and cuts[j].start < iv.end:
+            while j < len(cuts) and _lt(cuts[j].start, iv.end):
                 cut = cuts[j]
-                if cut.start > cursor:
+                if _lt(cursor, cut.start):
                     out.append(Interval(cursor, cut.start))
-                if cut.end > cursor:
-                    if cut.end >= iv.end:
+                if _lt(cursor, cut.end):
+                    if _le(iv.end, cut.end):
                         break  # this cut may also cover the next member
                     cursor = cut.end
                 j += 1
@@ -247,16 +269,24 @@ class IntervalSet:
     def clip_from(self, t: Rational) -> "IntervalSet":
         """Points of ``self`` at or after ``t``."""
         members = self.intervals
-        if not members or t <= members[0].start:
+        if not members or _le(t, members[0].start):
             return self
-        out = members[bisect_right(members, t, key=_END):]
-        if out and out[0].start < t:
+        # bisect_right on the ends, in integers: the first member ending
+        # after t.
+        lo, hi = 0, len(members)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if _lt(t, members[mid].end):
+                hi = mid
+            else:
+                lo = mid + 1
+        out = members[lo:]
+        if out and _lt(out[0].start, t):
             out = (Interval(t, out[0].end), *out[1:])
         return IntervalSet._normalized(out)
 
 
 _START = attrgetter("start")
-_END = attrgetter("end")
 
 
 def _merge(intervals: Iterable[Interval]) -> tuple[Interval, ...]:
@@ -269,8 +299,8 @@ def _merge(intervals: Iterable[Interval]) -> tuple[Interval, ...]:
     out = [ordered[0]]
     for iv in ordered[1:]:
         # "start <= last.end" merges overlaps and abutting neighbours alike.
-        if iv.start <= out[-1].end:
-            if iv.end > out[-1].end:
+        if _le(iv.start, out[-1].end):
+            if _lt(out[-1].end, iv.end):
                 out[-1] = Interval(out[-1].start, iv.end)
         else:
             out.append(iv)

@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple
 
 from .diagnostics import GranularityError, ThresholdError
-from .intervals import Interval, IntervalSet, message_rational
+from .intervals import Interval, IntervalSet, _le, _lt, message_rational
 from .model import SensationEpisode, Timeline, Valence
 
 
@@ -111,7 +111,7 @@ class _PairIndex:
             self.inhibit.setdefault(pair, []).append(inh.extent)
         for rec in timeline.acquaintances:
             pair = (rec.subject, rec.object)
-            if pair not in self.onset or rec.at < self.onset[pair]:
+            if pair not in self.onset or _lt(rec.at, self.onset[pair]):
                 self.onset[pair] = rec.at
 
 
@@ -142,7 +142,7 @@ def _signals_of(subject: str, object_: str, timeline: Timeline) -> PairSignals:
     floor = timeline.config.min_intensity
     episodes = index.sensations.get(pair, ())
     cond_i = _EMPTY.union(*(ep.extent for ep in episodes
-                            if ep.intensity >= floor)).difference(mask)
+                            if _le(floor, ep.intensity))).difference(mask)
     onset = index.onset.get(pair)
     if onset is None:
         derived = direct = love = _EMPTY

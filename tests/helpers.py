@@ -21,6 +21,7 @@ from loveline import (
     Valence,
     ValueJudgment,
 )
+from loveline import intervals, semantics
 
 THRESHOLDS = (Fraction(1, 4), Fraction(1, 2), Fraction(1), Fraction(2))
 
@@ -57,6 +58,37 @@ def sample_points(*sets: IntervalSet) -> list[Fraction]:
         points.add(ordered[0] - 1)
         points.add(ordered[-1] + 1)
     return sorted(points)
+
+
+def _counting(counted: dict[str, int], compare):
+    def counted_compare(a, b):
+        counted["comparisons"] += 1
+        return compare(a, b)
+
+    return counted_compare
+
+
+def count_fraction_comparisons(monkeypatch) -> dict[str, int]:
+    """Count every Fraction comparison from here on in
+    ``counted["comparisons"]``, so a bound on it holds on any host."""
+    counted = {"comparisons": 0}
+    for name in ("__eq__", "__lt__", "__le__", "__gt__", "__ge__"):
+        monkeypatch.setattr(Fraction, name,
+                            _counting(counted, getattr(Fraction, name)))
+    return counted
+
+
+def count_comparisons(monkeypatch) -> dict[str, int]:
+    """Count every endpoint comparison from here on in
+    ``counted["comparisons"]``: each Fraction comparison and each call of
+    the integer comparisons ``intervals._lt`` and ``_le``, wherever they
+    are imported."""
+    counted = count_fraction_comparisons(monkeypatch)
+    for name in ("_lt", "_le"):
+        helper = _counting(counted, getattr(intervals, name))
+        for module in (intervals, semantics):
+            monkeypatch.setattr(module, name, helper)
+    return counted
 
 
 def random_interval_set(

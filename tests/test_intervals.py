@@ -16,21 +16,72 @@ from loveline import (
     format_rational,
 )
 
-from helpers import member, sample_points
+from helpers import (
+    count_comparisons,
+    count_fraction_comparisons,
+    member,
+    sample_points,
+)
 
 F = Fraction
 
 fracs = st.fractions(min_value=-20, max_value=20, max_denominator=8)
 widths = st.fractions(min_value=F(1, 8), max_value=10, max_denominator=8)
+# Coprime grids, the last one 1/(2**61 - 1): each endpoint picks its own,
+# so members rarely share a denominator and every comparison
+# cross-multiplies, some of them in integers past 64 bits.
+GRIDS = (7, 97, 2**61 - 1)
+# Closer than a float can tell apart near 1.
+TINY = F(1, 2**61 - 1)
+nudges = st.integers(-2, 2).map(lambda k: k * TINY)
+grid_fracs = st.sampled_from(GRIDS).flatmap(
+    lambda g: st.integers(-20 * g, 20 * g).map(lambda k: F(k, g)))
+grid_widths = st.sampled_from(GRIDS).flatmap(
+    lambda g: st.integers(1, 10 * g).map(lambda k: F(k, g)))
 
 
 @st.composite
-def interval_sets(draw, max_size: int = 5) -> IntervalSet:
+def interval_sets(draw, max_size: int = 5, points=fracs,
+                  lengths=widths) -> IntervalSet:
     intervals = []
     for _ in range(draw(st.integers(0, max_size))):
-        a = draw(fracs)
-        intervals.append(Interval(a, a + draw(widths)))
+        a = draw(points)
+        intervals.append(Interval(a, a + draw(lengths)))
     return IntervalSet(tuple(intervals))
+
+
+# Endpoints from both of the above, negative ones included.
+mixed_fracs = st.one_of(fracs, grid_fracs)
+mixed_sets = interval_sets(points=mixed_fracs,
+                           lengths=st.one_of(widths, grid_widths))
+
+
+@st.composite
+def set_pairs(draw) -> tuple[IntervalSet, IntervalSet]:
+    """Two sets from :data:`mixed_sets`, or a set and its members with
+    each end moved by at most ``2 * TINY``, in either order, so that ends
+    of the two sets meet or just miss each other."""
+    a = draw(mixed_sets)
+    if not a or draw(st.booleans()):
+        return a, draw(mixed_sets)
+    moved = ((iv.start + draw(nudges), iv.end + draw(nudges)) for iv in a)
+    b = IntervalSet(tuple(Interval(lo, hi) for lo, hi in moved if lo < hi))
+    return (a, b) if draw(st.booleans()) else (b, a)
+
+
+def cut_points(s: IntervalSet):
+    """Points to clip ``s`` at: any rational, an int, or a member's start
+    or end as a new Fraction (an int when it is whole), or moved by at
+    most ``2 * TINY``."""
+    options = [mixed_fracs, st.integers(-25, 25)]
+    ends = [x for iv in s for x in (iv.start, iv.end)]
+    if ends:
+        options.append(st.sampled_from(ends).map(
+            lambda x: int(x) if x.denominator == 1
+            else F(x.numerator, x.denominator)))
+        options.append(st.builds(lambda x, d: x + d,
+                                 st.sampled_from(ends), nudges))
+    return st.one_of(options)
 
 
 @st.composite
@@ -170,8 +221,9 @@ class TestUnion:
     def test_bridging_merge(self):
         assert iset((0, 2), (4, 6)).union(iset((1, 5))) == iset((0, 6))
 
-    @given(interval_sets(), interval_sets())
-    def test_pointwise(self, a: IntervalSet, b: IntervalSet):
+    @given(set_pairs())
+    def test_pointwise(self, pair: tuple[IntervalSet, IntervalSet]):
+        a, b = pair
         u = a.union(b)
         assert_normalized(u)
         for t in sample_points(a, b, u):
@@ -207,8 +259,9 @@ class TestIntersect:
     def test_split(self):
         assert iset((0, 2), (3, 6)).intersect(iset((1, 4))) == iset((1, 2), (3, 4))
 
-    @given(interval_sets(), interval_sets())
-    def test_pointwise(self, a: IntervalSet, b: IntervalSet):
+    @given(set_pairs())
+    def test_pointwise(self, pair: tuple[IntervalSet, IntervalSet]):
+        a, b = pair
         m = a.intersect(b)
         assert_normalized(m)
         for t in sample_points(a, b, m):
@@ -219,8 +272,9 @@ class TestDifference:
     def test_carves_hole(self):
         assert iset((0, 10)).difference(iset((3, 7))) == iset((0, 3), (7, 10))
 
-    @given(interval_sets(), interval_sets())
-    def test_pointwise(self, a: IntervalSet, b: IntervalSet):
+    @given(set_pairs())
+    def test_pointwise(self, pair: tuple[IntervalSet, IntervalSet]):
+        a, b = pair
         d = a.difference(b)
         assert_normalized(d)
         for t in sample_points(a, b, d):
@@ -240,52 +294,33 @@ class TestDifference:
         )
         assert a.difference(b) == IntervalSet(kept)
 
-    def test_alternating_sets_take_one_pass(self):
+    def test_alternating_sets_take_one_pass(self, monkeypatch):
         # [4k,4k+2) minus [4k+1,4k+3), with every endpoint comparison
         # counted: one pass makes a few per member, while a scan of
         # ``other`` restarted for every member of ``self`` makes about
         # n*n/2 (two million here).
         n = 2_000
-        a = _counted_set((4 * k, 4 * k + 2) for k in range(n))
-        b = _counted_set((4 * k + 1, 4 * k + 3) for k in range(n))
-        _Counted.comparisons = 0
+        a = iset(*((4 * k, 4 * k + 2) for k in range(n)))
+        b = iset(*((4 * k + 1, 4 * k + 3) for k in range(n)))
+        counted = count_comparisons(monkeypatch)
         d = a.difference(b)
         assert d.intervals == tuple(Interval(4 * k, 4 * k + 1) for k in range(n))
-        assert _Counted.comparisons <= 20 * n
+        assert 0 < counted["comparisons"] <= 20 * n
 
 
-class _Counted(Fraction):
-    """A time point that counts the comparisons made with it."""
-
-    comparisons = 0
-
-    def __lt__(self, other):
-        _Counted.comparisons += 1
-        return super().__lt__(other)
-
-    def __le__(self, other):
-        _Counted.comparisons += 1
-        return super().__le__(other)
-
-    def __gt__(self, other):
-        _Counted.comparisons += 1
-        return super().__gt__(other)
-
-    def __ge__(self, other):
-        _Counted.comparisons += 1
-        return super().__ge__(other)
-
-
-def _counted_set(spans) -> IntervalSet:
-    # Interval() would turn a Fraction subclass back into a Fraction, so the
-    # fields are set the way its own __post_init__ sets them.
-    members = []
-    for start, end in spans:
-        iv = object.__new__(Interval)
-        object.__setattr__(iv, "start", _Counted(start))
-        object.__setattr__(iv, "end", _Counted(end))
-        members.append(iv)
-    return IntervalSet._normalized(tuple(members))
+class TestIntegerComparisons:
+    @given(set_pairs(), st.data())
+    def test_no_fraction_is_compared(self, pair, data):
+        # Endpoints are compared by intervals._lt and _le, left as they
+        # are, so the three operations compare no Fraction at all.
+        a, b = pair
+        cut = data.draw(cut_points(a))
+        with pytest.MonkeyPatch.context() as patched:
+            counted = count_fraction_comparisons(patched)
+            a.intersect(b)
+            a.difference(b)
+            a.clip_from(cut)
+            assert counted["comparisons"] == 0
 
 
 class TestComplementWithin:
@@ -467,11 +502,12 @@ class TestAlgebraicLaws:
         assert a.union(b).union(c) == a.union(b.union(c))
         assert a.intersect(b).intersect(c) == a.intersect(b.intersect(c))
 
-    @given(interval_sets(), fracs)
-    def test_clip_from_pointwise(self, a: IntervalSet, cut: Fraction):
+    @given(mixed_sets, st.data())
+    def test_clip_from_pointwise(self, a: IntervalSet, data):
+        cut = data.draw(cut_points(a))
         clipped = a.clip_from(cut)
         assert_normalized(clipped)
-        for t in sample_points(a, clipped):
+        for t in (*sample_points(a, clipped), cut):
             assert member(t, clipped) == (member(t, a) and t >= cut)
 
 
